@@ -26,7 +26,7 @@ from .identities import (
     surjection_count,
 )
 from .oracles import juric_series, longdiv_series, moreira_series, residue_value
-from .oracles import compare_methods
+from .oracles import compare_methods, within_bound
 from .parser import batch_expressions, parse_rational_expr
 
 DEFAULT_N = 50
@@ -214,13 +214,13 @@ def _print_report(text, report):
     bound = report.tolerance * report.scale
     print(f"  pairwise max |dev| (bound {bound:.3g}):")
     for a, b, dev in report.pairs:
-        mark = "PASS" if dev <= bound else "FAIL"
+        mark = "PASS" if within_bound(dev, bound) else "FAIL"
         print(f"    {a:<9} vs {b:<9} {dev:.3g}  {mark}")
     for n, val, dev, err in report.residue_checks:
         if err is not None:
             print(f"    residue n={n}: error: {err}")
         else:
-            mark = "PASS" if dev <= bound else "FAIL"
+            mark = "PASS" if within_bound(dev, bound) else "FAIL"
             print(f"    residue n={n}: dev {dev:.3g}  {mark}")
     print("PASS" if report.passed else "FAIL")
 

@@ -19,18 +19,23 @@ The three term kinds and their sequences:
 
 Evaluation regroups each trig factor as
 r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
-with m = n-2j-1, which is the same formula but lets integer pole data be
-evaluated in exact integer arithmetic (one final division); non-integer pole
-data follows the same route in floats. The supports are gated explicitly:
-without the gates the k=1 formula is nonzero at small n where the true
-sequence must vanish.
+with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
+is evaluated in exact integers with one correctly rounded final division, and
+non-integer data in floats. quad_seq0 takes each power by binary
+exponentiation (random access); eval_sequence tabulates n = 0..N from one
+running product (a+ib)^m per pole pair, shared by all its multiplicities and
+by s1. That is still this sum, not the denominator's recurrence: the
+recurrence is the long-division oracle, which must stay independent. A value
+that is not a finite float raises OverflowError, for int and float data
+alike. The supports are gated explicitly: without the gates the k=1 formula
+is nonzero at small n where the true sequence must vanish.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .factorize import factor_denominator
 from .pfe import RationalFunction, real_pfe
@@ -113,40 +118,70 @@ def _gauss_pow(re, im, m):
     return rr, ri
 
 
+def _pair(a, b, k):
+    """Validated pole data: int components when both are integer-valued."""
+    if b <= 0:
+        raise ValueError("not a complex pair")
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    ai, bi = int(a), int(b)
+    if a == ai and b == bi:
+        return ai, bi
+    return float(a), float(b)
+
+
+def _s0(a, b, k, n, im_pow):
+    """s0[n] for a +/- ib from _pair, given im_pow(m) = Im((a+ib)**m).
+
+    Raises OverflowError when the value is not a finite float.
+    """
+    if n < 2 * k:
+        return 0.0
+    s2 = a * a + b * b
+    total = 0
+    for j in range(k):
+        c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
+        total += (-1) ** j * c * im_pow(n - 2 * j - 1) * s2**j
+    try:
+        value = 2 * (-1) ** (k - 1) * total / (2 * b) ** (2 * k - 1)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
+
+
 def quad_seq0(a, b, k, n):
     """Sequence for a constant numerator over (z^2-2az+(a^2+b^2))**k.
 
     Zero for n < 2k. Integer-valued (a, b) are evaluated exactly.
     """
-    if b <= 0:
-        raise ValueError("not a complex pair")
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
-    if n < 2 * k:
-        return 0.0
-    sign = 1 if (k - 1) % 2 == 0 else -1
-    ai, bi = int(a), int(b)
-    if a == ai and b == bi:
-        s2 = ai * ai + bi * bi
-        total = 0
-        for j in range(k):
-            _, im = _gauss_pow(ai, bi, n - 2 * j - 1)
-            c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
-            total += (-1) ** j * c * im * s2**j
-        return float(Fraction(2 * sign * total, (2 * bi) ** (2 * k - 1)))
-    a, b = float(a), float(b)
-    s2 = a * a + b * b
-    total = 0.0
-    for j in range(k):
-        _, im = _gauss_pow(a, b, n - 2 * j - 1)
-        c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
-        total += (-1) ** j * c * im * s2**j
-    return 2.0 * sign * total / (2.0 * b) ** (2 * k - 1)
+    a, b = _pair(a, b, k)
+    return _s0(a, b, k, n, lambda m: _gauss_pow(a, b, m)[1])
 
 
 def quad_seq1(a, b, k, n):
     """Sequence for a bare-z numerator: quad_seq0 shifted one step left."""
     return quad_seq0(a, b, k, n + 1)
+
+
+def _quad_columns(a, b, lengths):
+    """{k: [quad_seq0(a, b, k, n) for n < lengths[k]]} from one running product.
+
+    Only the last 2K-1 values Im((a+ib)**m) are kept, K = max k: exact integer
+    powers grow without bound, so a full table would cost O(N^2) bits.
+    """
+    a, b = _pair(a, b, max(lengths))
+    window = deque(maxlen=2 * max(lengths) - 1)  # m = n-2K+1..n-1
+    cols = {k: [] for k in lengths}
+    re, im = 1, 0
+    for n in range(max(lengths.values())):
+        for k, col in cols.items():
+            if n < lengths[k]:
+                col.append(_s0(a, b, k, n, lambda m: window[m - n]))
+        window.append(im)
+        re, im = re * a - im * b, re * b + im * a
+    return cols
 
 
 def real_pole_seq(amp, pole, k, n):
@@ -160,28 +195,39 @@ def real_pole_seq(amp, pole, k, n):
     return amp * math.comb(n - 1, k - 1) * pole ** (n - k)
 
 
-def term_value(term, n):
+def _column(term, n_max, s0):
+    """One term's sequence over n = 0..n_max; s0[a, b][k] is a quad_seq0 column."""
+    ns = range(n_max + 1)
     if isinstance(term, Impulse):
-        return term.amp if n == term.index else 0.0
+        return [term.amp if n == term.index else 0.0 for n in ns]
     if isinstance(term, RealPole):
-        return real_pole_seq(term.amp, term.pole, term.mult, n)
+        return [real_pole_seq(term.amp, term.pole, term.mult, n) for n in ns]
     if isinstance(term, QuadPole):
-        val = 0.0
-        if term.z_amp:
-            val += term.z_amp * quad_seq1(term.a, term.b, term.mult, n)
+        base = s0[term.a, term.b][term.mult]
+        col = [0.0] * (n_max + 1)
+        if term.z_amp:  # s1[n] = s0[n+1]
+            col = [v + term.z_amp * s for v, s in zip(col, base[1:])]
         if term.const_amp:
-            val += term.const_amp * quad_seq0(term.a, term.b, term.mult, n)
-        return val
+            col = [v + term.const_amp * s for v, s in zip(col, base)]
+        return col
     raise TypeError(f"not a closed-form term: {term!r}")
 
 
 def eval_sequence(expr, n_max):
-    """Evaluate x[n] for n = 0..n_max by summing term sequences."""
+    """Evaluate x[n] for n = 0..n_max: term columns summed in term order.
+
+    The quadratic terms of one pole pair share one running power product.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = tuple(
-        sum(term_value(t, n) for t in expr.terms) for n in range(n_max + 1)
-    )
+    pairs = {}  # (a, b) -> {mult: number of s0 values its terms use}
+    for t in expr.terms:
+        if isinstance(t, QuadPole):
+            ks = pairs.setdefault((t.a, t.b), {})
+            ks[t.mult] = max(ks.get(t.mult, 0), n_max + 1 + bool(t.z_amp))
+    s0 = {pair: _quad_columns(*pair, ks) for pair, ks in pairs.items()}
+    columns = [_column(t, n_max, s0) for t in expr.terms]
+    values = tuple(map(sum, zip(*columns))) if columns else (0,) * (n_max + 1)
     return SequenceTable(values, "proposed", expr.source)
 
 

@@ -208,6 +208,16 @@ def residue_value(x, n):
     return _discard_imag(total, "residue")
 
 
+def _worst(values):
+    """Largest value, NaN counted as inf (max() would skip a NaN not first)."""
+    return max((math.inf if math.isnan(v) else v for v in values), default=0.0)
+
+
+def within_bound(dev, bound):
+    """The comparison gate: fails closed on a NaN deviation or an infinite bound."""
+    return math.isfinite(bound) and dev <= bound
+
+
 METHODS = ("proposed", "longdiv", "moreira", "juric")
 _RESIDUE_BASE = (1, 5, 17, 33, 50)
 
@@ -240,7 +250,8 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     Per-method failures are captured in the report rather than raised;
     `passed` reflects only the deviations of the methods that produced
     values, judged against tol * max(1, max |x[n]|) with the long-division
-    series as the preferred scale anchor.
+    series as the preferred scale anchor. A non-finite bound or deviation
+    fails.
     """
 
     def run(fn):
@@ -268,20 +279,19 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     if anchor is None:
         report.passed = False
         return report
-    report.scale = max(
-        1.0, max(abs(v) for v in methods[anchor].values) if methods[anchor].values else 1.0
-    )
+    report.scale = max(1.0, _worst(abs(v) for v in methods[anchor].values))
     bound = tol * report.scale
+    report.passed = math.isfinite(bound)
 
     names = [m for m in METHODS if methods[m].values is not None]
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            dev = max(
+            dev = _worst(
                 abs(va - vb)
                 for va, vb in zip(methods[a].values, methods[b].values)
             )
             report.pairs.append((a, b, dev))
-            if dev > bound:
+            if not within_bound(dev, bound):
                 report.passed = False
 
     ref = methods[anchor].values
@@ -290,7 +300,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
             val = residue_value(x, n)
             dev = abs(val - ref[n])
             report.residue_checks.append((n, val, dev, None))
-            if dev > bound:
+            if not within_bound(dev, bound):
                 report.passed = False
         except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:
             report.residue_checks.append((n, None, None, f"{exc}"))

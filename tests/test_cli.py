@@ -76,6 +76,14 @@ class TestTable:
         assert doc["values"] == [1, 1, 1]
 
 
+    @pytest.mark.parametrize("expr", ["1/(z^2-4z+8)", "1/(z^2-4.5z+8.5)"])
+    def test_overflow_exit_one(self, expr, capsys):
+        # integer and float pole data overflow with the same error
+        assert main(["table", expr, "--n", "2200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quadratic-pole sequence overflows a float at n=")
+
+
 class TestCompare:
     def test_pass_exit_zero(self, capsys):
         assert main(["compare", "1/(z^2+1)", "--n", "20"]) == 0
@@ -96,6 +104,12 @@ class TestCompare:
         # pair methods disagree at the 1e-30 level by construction of floats
         code = main(["compare", "1/((z-0.5)*(z^2-z+0.5))", "--n", "40", "--tol", "1e-30"])
         assert code == 1
+
+    def test_infinite_bound_fails(self, capsys):
+        # the series overflows: the scale and so the bound are infinite
+        assert main(["compare", "1/(z^2-3z+4.5)", "--n", "1500"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS" not in out and out.rstrip().endswith("FAIL")
 
     def test_fuzz_small(self, capsys):
         assert main(["compare", "--fuzz", "10", "--seed", "42"]) == 0

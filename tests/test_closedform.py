@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -145,6 +146,88 @@ class TestInvert:
         e = invert_expression("3 + 2*z")
         assert set(e.terms) == {Impulse(3.0, 0), Impulse(2.0, -1)}
         assert eval_sequence(e, 2).values == (3.0, 0.0, 0.0)
+
+
+def _per_n(expr, n_max):
+    """Reference for eval_sequence: each x[n] from the random-access API,
+    term values added in term order."""
+
+    def value(t, n):
+        if isinstance(t, Impulse):
+            return t.amp if n == t.index else 0.0
+        if isinstance(t, RealPole):
+            return real_pole_seq(t.amp, t.pole, t.mult, n)
+        val = 0.0
+        if t.z_amp:
+            val += t.z_amp * quad_seq1(t.a, t.b, t.mult, n)
+        if t.const_amp:
+            val += t.const_amp * quad_seq0(t.a, t.b, t.mult, n)
+        return val
+
+    return tuple(sum(value(t, n) for t in expr.terms) for n in range(n_max + 1))
+
+
+def _expansion(rng, pairs, reals):
+    """Shuffled terms of every multiplicity up to k for each (a, b, k) pair
+    and (pole, k) real pole; some amplitudes zero."""
+
+    def amp():
+        return rng.choice((0.0, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+
+    terms = [Impulse(rng.uniform(-2.0, 2.0), rng.randint(0, 3))]
+    for a, b, k in pairs:
+        terms += [QuadPole(amp(), amp(), a, b, j) for j in range(1, k + 1)]
+    for pole, k in reals:
+        terms += [RealPole(rng.uniform(-2.0, 2.0), pole, j) for j in range(1, k + 1)]
+    rng.shuffle(terms)
+    return ClosedFormExpr(tuple(terms), None)
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2)])
+    def test_integer_poles_bit_identical(self, a, b, k):
+        rng = random.Random(100 * k + 10 * a + b)
+        for reals in ((), ((1, 2),), ((-1, 1), (2, 2)), ((2, 1),)):
+            expr = _expansion(rng, [(a, b, k)], reals)
+            n_max = rng.randint(2 * k, 300)
+            assert eval_sequence(expr, n_max).values == _per_n(expr, n_max)
+
+    def test_inverted_integer_fixture_bit_identical(self):
+        e = invert_expression("(3z^3-2z+7)/((z^2+1)^3 (z-1)^2 (z+1) (z^2+2z+2)^2)")
+        assert eval_sequence(e, 300).values == _per_n(e, 300)
+
+    def test_float_poles_within_tolerance(self):
+        # tolerance set before the running-power table was written
+        rng = random.Random(2000)
+        for _ in range(3):
+            pairs = []
+            for _ in range(2):
+                w = cmath.rect(rng.uniform(0.9, 1.05), rng.uniform(0.2, math.pi - 0.2))
+                pairs.append((w.real, w.imag, rng.randint(1, 3)))
+            reals = [(rng.choice((-1, 1)) * rng.uniform(0.9, 1.05), rng.randint(1, 2))]
+            expr = _expansion(rng, pairs, reals)
+            got = eval_sequence(expr, 2000).values
+            ref = _per_n(expr, 2000)
+            tol = 1e-10 * max(1.0, max(abs(v) for v in ref))
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= tol
+
+    def test_short_tables(self):
+        # n_max = 0 and every n_max below the 2k = 8 support start
+        expr = _expansion(random.Random(8), [(1, 1, 4), (0, 1, 2)], [(2, 2)])
+        for n_max in range(10):
+            got = eval_sequence(expr, n_max).values
+            assert len(got) == n_max + 1
+            assert got == _per_n(expr, n_max)
+
+    @pytest.mark.parametrize("text", ["1/(z^2-4z+8)", "1/(z^2-4.5z+8.5)"])
+    def test_overflow_raises_on_int_and_float_pairs(self, text):
+        e = invert_expression(text)
+        (t,) = e.terms
+        with pytest.raises(OverflowError, match="overflows a float"):
+            eval_sequence(e, 2200)
+        with pytest.raises(OverflowError, match="overflows a float"):
+            quad_seq0(t.a, t.b, t.mult, 2200)
 
 
 class TestEvalInvariants:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from zinv import oracles
+from zinv.closedform import SequenceTable
 from zinv.corpus import random_rational
 from zinv.oracles import (
     compare_methods,
@@ -187,6 +189,18 @@ class TestCompareMethods:
         assert report.methods["longdiv"].error is not None
         assert report.methods["proposed"].values is not None
         assert report.passed
+
+    def test_nan_deviation_fails(self, monkeypatch):
+        # a NaN after the first index is skipped by a plain max()
+        x = rf([1], [1, 0, 1])
+        vals = list(longdiv_series(x, 10).values)
+        vals[5] = math.nan
+        monkeypatch.setattr(
+            oracles, "eval_sequence", lambda e, n: SequenceTable(tuple(vals), "proposed")
+        )
+        report = compare_methods(x, n_max=10, tol=1e-9)
+        assert not report.passed
+        assert all(d == math.inf for a, b, d in report.pairs if "proposed" in (a, b))
 
     def test_timings_recorded(self):
         report = compare_methods(rf([1], [1, 0, 1]), n_max=10)
