@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .closedform import Impulse, QuadPole, RealPole, eval_sequence, invert, quad_seq0, render
+from .closedform import DROP_TOL, Impulse, QuadPole, RealPole, invert_expression, quad_seq0, render
 from .corpus import random_rational
 from .errors import ParseError, ZinvError
 from .identities import (
@@ -25,14 +26,14 @@ from .identities import (
     pair_convolution_series,
     surjection_count,
 )
-from .oracles import juric_series, longdiv_series, moreira_series, residue_value
-from .oracles import compare_methods, within_bound
+from .oracles import SERIES_METHODS, OraclePoles, compare_methods, residue_value, within_bound
 from .parser import batch_expressions, parse_rational_expr
 
 DEFAULT_N = 50
 DEFAULT_TOL = 1e-7
 DEFAULT_SEED = 12345
 CONV_GRID_AB = ((0, 1), (1, 1), (1, 2), (0.5, 0.8))
+TERM_KINDS = {Impulse: "impulse", RealPole: "real_pole", QuadPole: "quad_pole"}
 
 
 def _fail(msg):
@@ -53,18 +54,8 @@ def _inputs(args):
 
 
 def _term_dict(t):
-    if isinstance(t, Impulse):
-        return {"kind": "impulse", "amp": t.amp, "index": t.index}
-    if isinstance(t, RealPole):
-        return {"kind": "real_pole", "amp": t.amp, "pole": t.pole, "mult": t.mult}
-    return {
-        "kind": "quad_pole",
-        "z_amp": t.z_amp,
-        "const_amp": t.const_amp,
-        "a": t.a,
-        "b": t.b,
-        "mult": t.mult,
-    }
+    # JSON keys are the term's fields, in declaration order
+    return {"kind": TERM_KINDS[type(t)], **dataclasses.asdict(t)}
 
 
 def _poly_part_coeffs(expr):
@@ -83,7 +74,7 @@ def cmd_invert(args):
         return 2
     results = []
     for label, text in _inputs(args):
-        expr = invert_from_text(text, drop_tol=args.tol)
+        expr = invert_expression(text, drop_tol=args.tol)
         results.append((label, text, expr))
     if args.format == "json":
         payload = [
@@ -108,46 +99,23 @@ def cmd_invert(args):
     return 0
 
 
-def invert_from_text(text, drop_tol=None):
-    x, factored = parse_rational_expr(text)
-    if drop_tol is None:
-        return invert(x, factored=factored)
-    return invert(x, factored=factored, drop_tol=drop_tol)
-
-
-def _series_for(method, x, factored, n_max):
-    if method == "proposed":
-        return eval_sequence(invert(x, factored=factored), n_max).values, 0
-    if method == "longdiv":
-        return longdiv_series(x, n_max).values, 0
-    if method == "moreira":
-        return moreira_series(x, n_max).values, 0
-    if method == "juric":
-        return juric_series(x, n_max).values, 0
-    # residue excludes n = 0 by contract; the table starts at n = 1
-    print("note: residue method starts at n=1 (n=0 is out of its domain)", file=sys.stderr)
-    return tuple(residue_value(x, n) for n in range(1, n_max + 1)), 1
-
-
 def cmd_table(args):
     rows_by_input = []
     for label, text in _inputs(args):
         x, factored = parse_rational_expr(text)
+        poles = OraclePoles(x)
+        header = ["n", "x"]
         if args.method == "all":
-            methods = ("proposed", "longdiv", "moreira", "juric")
-            cols = {}
-            for m in methods:
-                vals, start = _series_for(m, x, factored, args.n)
-                cols[m] = (vals, start)
-            rows = [
-                [n] + [cols[m][0][n - cols[m][1]] for m in methods]
-                for n in range(args.n + 1)
-            ]
-            header = ["n", *methods]
+            cols = [series(x, args.n, factored, poles) for series in SERIES_METHODS.values()]
+            rows = [[n, *(col[n] for col in cols)] for n in range(args.n + 1)]
+            header = ["n", *SERIES_METHODS]
+        elif args.method == "residue":
+            # residue excludes n = 0 by contract; the table starts at n = 1
+            print("note: residue method starts at n=1 (n=0 is out of its domain)", file=sys.stderr)
+            rows = [[n, residue_value(x, n, poles=poles.of_x())] for n in range(1, args.n + 1)]
         else:
-            vals, start = _series_for(args.method, x, factored, args.n)
-            rows = [[n + start, v] for n, v in enumerate(vals)]
-            header = ["n", "x"]
+            vals = SERIES_METHODS[args.method](x, args.n, factored, poles)
+            rows = [[n, v] for n, v in enumerate(vals)]
         rows_by_input.append((text, header, rows))
 
     if args.format == "json":
@@ -287,8 +255,6 @@ def _compare_fuzz(args):
 
 
 def cmd_identities(args):
-    tol = args.tol if args.tol is not None else 1e-9
-
     sum_fail = []
     sum_cases = 0
     for k in range(1, 7):
@@ -320,7 +286,7 @@ def cmd_identities(args):
                 conv_cases += 1
                 dev = abs(series.values[n] - quad_seq0(a, b, k, n))
                 conv_dev = max(conv_dev, dev)
-                if dev > tol:
+                if dev > args.tol:
                     conv_fail.append((a, b, k, n, dev))
 
     binom_fail = []
@@ -346,7 +312,7 @@ def cmd_identities(args):
                     "convolution_vs_closed_form": {
                         "cases": conv_cases,
                         "max_dev": conv_dev,
-                        "tolerance": tol,
+                        "tolerance": args.tol,
                         "failures": [list(f) for f in conv_fail],
                     },
                     "binomial_consistency": {
@@ -372,7 +338,7 @@ def cmd_identities(args):
             print(f"  counterexample: sigma={sigma} p={p}")
         print(
             f"convolution_vs_closed_form: max dev {conv_dev:.3g} over "
-            f"{conv_cases} cases (tol {tol:g})"
+            f"{conv_cases} cases (tol {args.tol:g})"
         )
         for a, b, k, n, dev in conv_fail[:5]:
             print(f"  counterexample: a={a} b={b} k={k} n={n} dev={dev:.3g}")
@@ -406,7 +372,7 @@ def _build():
     p.add_argument(
         "--tol",
         type=float,
-        default=None,
+        default=DROP_TOL,
         help="relative amplitude below which expansion terms are dropped (default 1e-12)",
     )
     p.set_defaults(func=cmd_invert)
@@ -416,7 +382,7 @@ def _build():
     p.add_argument("--n", type=int, default=DEFAULT_N, help=f"largest index (default {DEFAULT_N})")
     p.add_argument(
         "--method",
-        choices=("proposed", "longdiv", "moreira", "juric", "residue", "all"),
+        choices=(*SERIES_METHODS, "residue", "all"),
         default="proposed",
     )
     p.set_defaults(func=cmd_table)
@@ -431,7 +397,7 @@ def _build():
 
     p = sub.add_parser("identities", help="run the exact identity sweeps")
     common(p, expr=False)
-    p.add_argument("--tol", type=float, default=None, help="convolution sweep tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=1e-9, help="convolution sweep tolerance (default 1e-9)")
     p.set_defaults(func=cmd_identities)
 
     return top
@@ -447,10 +413,7 @@ def main(argv=None):
             _fail("--tol must be > 0")
             return 2
         return args.func(args)
-    except ParseError as exc:
-        _fail(str(exc))
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         _fail(str(exc))
         return 2
     except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -25,8 +25,8 @@ non-integer data in floats. quad_seq0 takes each power by binary
 exponentiation (random access); eval_sequence tabulates n = 0..N from one
 running product (a+ib)^m per pole pair, shared by all its multiplicities and
 by s1. That is still this sum, not the denominator's recurrence: the
-recurrence is the long-division oracle, which must stay independent. A value
-that is not a finite float raises OverflowError, for int and float data
+recurrence is the long-division oracle, which must stay independent. A term
+value that is not a finite float raises OverflowError, for int and float data
 alike. The supports are gated explicitly: without the gates the k=1 formula
 is nonzero at small n where the true sequence must vanish.
 """
@@ -185,14 +185,20 @@ def _quad_columns(a, b, lengths):
 
 
 def real_pole_seq(amp, pole, k, n):
-    """amp * C(n-1, k-1) * pole**(n-k); zero for n < k."""
+    """amp * C(n-1, k-1) * pole**(n-k); zero for n < k; OverflowError if not finite."""
     if pole == 0:
         raise ValueError("origin pole must be an impulse")
     if k < 1:
         raise ValueError("multiplicity must be >= 1")
     if n < k:
         return 0.0
-    return amp * math.comb(n - 1, k - 1) * pole ** (n - k)
+    try:
+        value = amp * math.comb(n - 1, k - 1) * pole ** (n - k)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(f"real-pole sequence overflows a float at n={n}")
 
 
 def _column(term, n_max, s0):

@@ -117,23 +117,9 @@ def find_roots(p, max_iter=30):
     roots = [0j] * n_origin
     if len(coeffs) > 1:
         raw = np.roots(np.array(coeffs[::-1]))
-        dp = Polynomial(coeffs).derivative()
         stripped = Polynomial(coeffs)
         tiny = 1e-15 * max(1.0, stripped.norm_inf)
-        for z0 in raw:
-            z = complex(z0)
-            best, best_res = z, abs(stripped(z))
-            for _ in range(max_iter):
-                if best_res <= tiny:
-                    break
-                d = dp(z)
-                if d == 0:
-                    break
-                z = z - stripped(z) / d
-                res = abs(stripped(z))
-                if res < best_res:
-                    best, best_res = z, res
-            roots.append(best)
+        roots.extend(_newton(stripped, complex(z0), max_iter, tiny) for z0 in raw)
     out = sorted(
         ((z, abs(p(z))) for z in roots), key=lambda zr: (zr[0].real, zr[0].imag)
     )
@@ -231,12 +217,12 @@ def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TO
     )
 
 
-def _newton(p, z, iters=40):
-    """Newton refinement tracking the lowest-residual iterate."""
+def _newton(p, z, iters=40, stop=0.0):
+    """Newton refinement tracking the lowest-residual iterate; stops once it is <= stop."""
     dp = p.derivative()
     best, best_res = z, abs(p(z))
     for _ in range(iters):
-        if best_res == 0.0:
+        if best_res <= stop:
             break
         d = dp(z)
         if d == 0:

@@ -12,10 +12,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .closedform import SequenceTable, _gauss_pow
+from .closedform import SequenceTable, _gauss_pow, _pair
 from .errors import ConjugateSymmetryError
 
 SYMMETRY_TOL = 1e-9
+
+
+def _discard_imag(value, where):
+    """Drop the imaginary residue of a conjugate-closed sum; error if large."""
+    if abs(value.imag) > SYMMETRY_TOL * max(1.0, abs(value)):
+        raise ConjugateSymmetryError(
+            f"conjugate symmetry violated in {where}: residue {value.imag:.3g}"
+        )
+    return value.real
 
 
 def falling_factorial(x, l):
@@ -86,35 +95,27 @@ def surjection_count(boxes, balls):
     )
 
 
-def _pair_convolution_int(ai, bi, k, n):
-    total_re = 0
-    total_im = 0
-    for m in range(k, n - k + 1):
-        pr, pi = _gauss_pow(ai, bi, m - k)
-        qr, qi = _gauss_pow(ai, -bi, n - m - k)
-        c = math.comb(m - 1, m - k) * math.comb(n - m - 1, n - m - k)
-        total_re += c * (pr * qr - pi * qi)
-        total_im += c * (pr * qi + pi * qr)
-    if total_im != 0:
-        raise ConjugateSymmetryError(
-            f"conjugate symmetry violated in convolution: residue {total_im}"
-        )
-    return float(total_re)
+def _pair_convolution(a, b, k, n):
+    """pair_convolution_series' x[n], n >= 2k, for (a, b) from _pair.
 
-
-def _pair_convolution_float(a, b, k, n):
-    total = 0j
-    w = complex(a, b)
+    Products in CPython's complex order, (c*pr)*qr - (c*pi)*qi and
+    (c*pr)*qi + (c*pi)*qr: float data rounds as complex arithmetic would.
+    """
+    total_re = total_im = 0
     for m in range(k, n - k + 1):
-        pr, pi = _gauss_pow(w.real, w.imag, m - k)
-        qr, qi = _gauss_pow(w.real, -w.imag, n - m - k)
+        pr, pi = _gauss_pow(a, b, m - k)
+        qr, qi = _gauss_pow(a, -b, n - m - k)
         c = math.comb(m - 1, m - k) * math.comb(n - m - 1, n - m - k)
-        total += c * complex(pr, pi) * complex(qr, qi)
-    if abs(total.imag) > SYMMETRY_TOL * max(1.0, abs(total)):
-        raise ConjugateSymmetryError(
-            f"conjugate symmetry violated in convolution: residue {total.imag:.3g}"
-        )
-    return total.real
+        total_re += (c * pr) * qr - (c * pi) * qi
+        total_im += (c * pr) * qi + (c * pi) * qr
+    if isinstance(a, int):
+        # exact Gaussian integers: any imaginary residue is a real violation
+        if total_im != 0:
+            raise ConjugateSymmetryError(
+                f"conjugate symmetry violated in convolution: residue {total_im}"
+            )
+        return float(total_re)
+    return _discard_imag(complex(total_re, total_im), "convolution")
 
 
 def pair_convolution_series(a, b, k, n_max):
@@ -126,18 +127,9 @@ def pair_convolution_series(a, b, k, n_max):
     The m <-> n-m symmetry makes the sum real; the empty sum for n < 2k gives
     the zero prefix. Integer (a, b) are evaluated exactly.
     """
-    if b <= 0:
-        raise ValueError("not a complex pair")
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
-    ai, bi = int(a), int(b)
-    exact = a == ai and b == bi
-    vals = []
-    for n in range(n_max + 1):
-        if n < 2 * k:
-            vals.append(0.0)
-        elif exact:
-            vals.append(_pair_convolution_int(ai, bi, k, n))
-        else:
-            vals.append(_pair_convolution_float(float(a), float(b), k, n))
+    a, b = _pair(a, b, k)
+    vals = [
+        0.0 if n < 2 * k else _pair_convolution(a, b, k, n)
+        for n in range(n_max + 1)
+    ]
     return SequenceTable(tuple(vals), "convolution", None)

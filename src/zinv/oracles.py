@@ -8,6 +8,11 @@ Four routes that share no machinery with the closed-form path:
 * the recursive-coefficient scheme on X(z)/z (one coefficient table per
   distinct pole, no expansion);
 * per-n residue sums of X(z) z^(n-1).
+
+SERIES_METHODS is the one method list: compare_methods, the CLI's table
+columns and its --method choices all read it. The oracles factor each of
+their two denominators, X(z)/z's and X's, once per request (OraclePoles),
+and never take the parser's factors or the closed form's.
 """
 
 from __future__ import annotations
@@ -18,21 +23,14 @@ import time
 from dataclasses import dataclass, field
 
 from .closedform import SequenceTable, eval_sequence, invert
-from .errors import ConjugateSymmetryError, ZinvError
+from .errors import ZinvError
 from .factorize import complex_pole_multiplicities
-from .pfe import _deflate, _divided_by_z, complex_pfe_over_z
+from .identities import _discard_imag, falling_factorial
+from .pfe import _deflate, _divided_by_z, _limit_coeffs, complex_pfe_over_z
 from .polynomial import Polynomial
 
-SYMMETRY_TOL = 1e-9
-
-
-def _discard_imag(value, where):
-    """Drop the imaginary residue of a conjugate-closed sum; error if large."""
-    if abs(value.imag) > SYMMETRY_TOL * max(1.0, abs(value)):
-        raise ConjugateSymmetryError(
-            f"conjugate symmetry violated in {where}: residue {value.imag:.3g}"
-        )
-    return value.real
+# what a method may raise and have reported as its error, not propagated
+METHOD_ERRORS = (ZinvError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def longdiv_series(x, n_max):
@@ -54,15 +52,16 @@ def longdiv_series(x, n_max):
     return SequenceTable(tuple(vals), "longdiv", x)
 
 
-def moreira_series(x, n_max):
+def moreira_series(x, n_max, poles=None):
     """Inverse transform via complex partial fractions of X(z)/z.
 
     Each expansion term of Y = X/z is multiplied back by z and inverted:
     poles at 0 give shifted impulses, a pole p of multiplicity q gives
     coeff * C(n, q-1) * p^(n-q+1); conjugate pairs combine into
     2|c| r^(n-q+1) C(n, q-1) cos((n-q+1)theta + phi) with phi = arg(c).
+    poles is as for complex_pfe_over_z.
     """
-    cpf = complex_pfe_over_z(x)
+    cpf = complex_pfe_over_z(x, poles=poles)
     vals = [0j] * (n_max + 1)
     for t in cpf.terms:
         pole, j, coeff = t.pole, t.j, t.coeff
@@ -114,14 +113,7 @@ class JuricCoefficients:
     den: Polynomial
 
 
-def _falling(x, l):
-    out = 1
-    for i in range(l):
-        out *= x - i
-    return out
-
-
-def juric_coefficients(x):
+def juric_coefficients(x, poles=None):
     """Coefficient tables for the recursive scheme applied to Y = X(z)/z.
 
     For each distinct root z_k (multiplicity m) of Y's denominator, with
@@ -130,12 +122,13 @@ def juric_coefficients(x):
         c_j = (N^(j)(z_k) - sum_{l<j} c_l (j)_l D_k^(j-l)(z_k)) / (j! D_k(z_k))
 
     where (j)_l is the falling factorial. Tables at conjugate poles are
-    mirrored exactly.
+    mirrored exactly. poles is as for complex_pfe_over_z.
     """
     num, den = _divided_by_z(x)
     if den.degree < 1:
         return JuricCoefficients((), num, den)
-    poles = complex_pole_multiplicities(den)
+    if poles is None:
+        poles = complex_pole_multiplicities(den)
     tables = {}
     # upper-half poles first so lower-half tables mirror them exactly
     for zk, m in sorted(poles, key=lambda pm: (pm[0].real, -pm[0].imag)):
@@ -151,7 +144,7 @@ def juric_coefficients(x):
         for j in range(m):
             acc = num.derivative(j)(zk)
             for l in range(j):
-                acc -= cs[l] * _falling(j, l) * dk.derivative(j - l)(zk)
+                acc -= cs[l] * falling_factorial(j, l) * dk.derivative(j - l)(zk)
             cs.append(acc / (math.factorial(j) * dkz))
         tables[zk] = tuple(cs)
     ordered = tuple(
@@ -161,13 +154,14 @@ def juric_coefficients(x):
     return JuricCoefficients(ordered, num, den)
 
 
-def juric_series(x, n_max):
+def juric_series(x, n_max, poles=None):
     """Inverse transform from the recursive coefficient tables.
 
     x[n] = sum_k sum_{j=0}^{m_k-1} c_{k, m_k-1-j} C(n,j) z_k^(n-j), with the
-    z_k = 0 term replaced by c_{k, m_k-1-j} delta[n-j].
+    z_k = 0 term replaced by c_{k, m_k-1-j} delta[n-j]. poles is as for
+    juric_coefficients.
     """
-    table = juric_coefficients(x)
+    table = juric_coefficients(x, poles=poles)
     vals = [0j] * (n_max + 1)
     for entry in table.poles:
         zk, m, cs = entry.pole, entry.mult, entry.coeffs
@@ -185,26 +179,23 @@ def juric_series(x, n_max):
     return SequenceTable(out, "juric", x)
 
 
-def residue_value(x, n):
+def residue_value(x, n, poles=None):
     """x[n] as the sum of residues of X(z) z^(n-1) over the poles of X.
 
     For a pole of multiplicity m the residue is the (m-1)-th derivative of
-    (z - z_k)^m X(z) z^(n-1) at z_k over (m-1)!; the derivative chain runs on
-    the deflated rational via the quotient rule. n = 0 is excluded: z^(n-1)
-    would add a pole at the origin outside X's pole set.
+    (z - z_k)^m X(z) z^(n-1) at z_k over (m-1)!: A_1 of _limit_coeffs on the
+    deflated rational. n = 0 is excluded: z^(n-1) would add a pole at the
+    origin outside X's pole set. poles is complex_pole_multiplicities(x.den),
+    computed here when None.
     """
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
-    poles = complex_pole_multiplicities(x.den)
+    if poles is None:
+        poles = complex_pole_multiplicities(x.den)
     shifted = x.num.shift(n - 1)
     total = 0j
     for zk, m in poles:
-        dk = _deflate(x.den, zk, m)
-        p_cur, q_pol, e = shifted, dk, 1
-        for _ in range(m - 1):
-            p_cur = p_cur.derivative() * q_pol - (p_cur * q_pol.derivative()) * e
-            e += 1
-        total += p_cur(zk) / (q_pol(zk) ** e) / math.factorial(m - 1)
+        total += _limit_coeffs(shifted, _deflate(x.den, zk, m), zk, m)[1]
     return _discard_imag(total, "residue")
 
 
@@ -218,7 +209,46 @@ def within_bound(dev, bound):
     return math.isfinite(bound) and dev <= bound
 
 
-METHODS = ("proposed", "longdiv", "moreira", "juric")
+class OraclePoles:
+    """The oracles' two pole lists for one input, each factored at most once.
+
+    over_z() is complex_pole_multiplicities of X(z)/z's denominator (moreira,
+    juric), of_x() of X's (residue). A factoring error is kept and raised at
+    each use, where the oracle would have raised it.
+    """
+
+    def __init__(self, x):
+        den = _divided_by_z(x)[1]
+        # a constant X(z)/z denominator: moreira and juric return before needing poles
+        self.over_z = _poles_once(den) if den.degree >= 1 else lambda: None
+        self.of_x = _poles_once(x.den)
+
+
+def _poles_once(p):
+    memo = []
+
+    def poles():
+        if not memo:
+            try:
+                memo.append(complex_pole_multiplicities(p))
+            except METHOD_ERRORS as exc:
+                memo.append(exc)
+        if isinstance(memo[0], Exception):
+            raise memo[0]
+        return memo[0]
+
+    return poles
+
+
+# name -> series(x, n_max, factored, poles) giving x[0..n_max], poles an
+# OraclePoles. Each entry looks its function up in this module when called,
+# so a rebound module attribute (a test double, a tracer) is used.
+SERIES_METHODS = {
+    "proposed": lambda x, n, factored, poles: eval_sequence(invert(x, factored=factored), n).values,
+    "longdiv": lambda x, n, factored, poles: longdiv_series(x, n).values,
+    "moreira": lambda x, n, factored, poles: moreira_series(x, n, poles=poles.over_z()).values,
+    "juric": lambda x, n, factored, poles: juric_series(x, n, poles=poles.over_z()).values,
+}
 _RESIDUE_BASE = (1, 5, 17, 33, 50)
 
 
@@ -253,27 +283,20 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     series as the preferred scale anchor. A non-finite bound or deviation
     fails.
     """
+    poles = OraclePoles(x)
 
-    def run(fn):
+    def run(series):
         t0 = time.perf_counter()
         try:
-            vals = fn()
+            vals = series(x, n_max, factored, poles)
             return MethodRun(tuple(vals), time.perf_counter() - t0)
-        except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except METHOD_ERRORS as exc:
             return MethodRun(None, time.perf_counter() - t0, f"{exc}")
 
-    methods = {
-        "proposed": run(lambda: eval_sequence(invert(x, factored=factored), n_max).values),
-        "longdiv": run(lambda: longdiv_series(x, n_max).values),
-        "moreira": run(lambda: moreira_series(x, n_max).values),
-        "juric": run(lambda: juric_series(x, n_max).values),
-    }
-
-    anchor = None
-    for name in ("longdiv", "proposed", "moreira", "juric"):
-        if methods[name].values is not None:
-            anchor = name
-            break
+    methods = {name: run(series) for name, series in SERIES_METHODS.items()}
+    anchor = next(
+        (m for m in ("longdiv", *methods) if methods[m].values is not None), None
+    )
 
     report = ComparisonReport(x, n_max, tol, methods)
     if anchor is None:
@@ -283,7 +306,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     bound = tol * report.scale
     report.passed = math.isfinite(bound)
 
-    names = [m for m in METHODS if methods[m].values is not None]
+    names = [m for m in methods if methods[m].values is not None]
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             dev = _worst(
@@ -297,11 +320,11 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     ref = methods[anchor].values
     for n in (i for i in _RESIDUE_BASE if 1 <= i <= n_max):
         try:
-            val = residue_value(x, n)
+            val = residue_value(x, n, poles=poles.of_x())
             dev = abs(val - ref[n])
             report.residue_checks.append((n, val, dev, None))
             if not within_bound(dev, bound):
                 report.passed = False
-        except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except METHOD_ERRORS as exc:
             report.residue_checks.append((n, None, None, f"{exc}"))
     return report

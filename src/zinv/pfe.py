@@ -258,6 +258,23 @@ def _deflate(p, z0, m):
     return Polynomial(cs)
 
 
+def _limit_coeffs(p, q, z0, m):
+    """{j: A_j} of p / (q (z - z0)**m) at z0, q(z0) != 0, by the limit formulas.
+
+    A_{m-i} = g^(i)(z0)/i! = P_i(z0) / q(z0)**(i+1) / i! with g = p/q; the
+    quotient rule runs on g^(i) = P_i/q**(i+1) so degrees grow linearly.
+    """
+    coeffs = {}
+    fact, e = 1, 1
+    for i in range(m):
+        if i:
+            fact *= i
+            p = p.derivative() * q - (p * q.derivative()) * e
+            e += 1
+        coeffs[m - i] = p(z0) / (q(z0) ** e) / fact
+    return coeffs
+
+
 def _divided_by_z(x):
     """Numerator/denominator of X(z)/z with shared z factors cancelled."""
     num, den = x.num, x.den.shift(1)
@@ -272,39 +289,27 @@ def _divided_by_z(x):
     return num, den
 
 
-def complex_pfe_over_z(x):
+def complex_pfe_over_z(x, poles=None):
     """Full complex partial fraction expansion of Y(z) = X(z)/z.
 
     Highest-multiplicity coefficients come from the limit formulas
     A_{m-i} = (1/i!) d^i/dz^i [(z - z_k)^m Y(z)] at z_k, evaluated by
     repeated quotient-rule differentiation of the deflated rational.
-    Conjugate closure is enforced by averaging paired coefficients.
+    Conjugate closure is enforced by averaging paired coefficients. poles
+    is complex_pole_multiplicities(_divided_by_z(x)[1]), found here if None.
     """
     num, den = _divided_by_z(x)
-    if num.degree >= den.degree:
-        poly_part, rem = divmod(num, den)
-    else:
-        poly_part, rem = Polynomial(()), num
+    poly_part, rem = divmod(num, den)
 
     if den.degree < 1:
         return ComplexPartialFraction((), poly_part, 0.0)
 
-    poles = complex_pole_multiplicities(den)
+    if poles is None:
+        poles = complex_pole_multiplicities(den)
 
     raw = {}
     for zk, m in poles:
-        dk = _deflate(den, zk, m)
-        # derivative chain on g = P/Q**e so degrees grow linearly
-        p_cur, q_pol, e = rem, dk, 1
-        fact = 1
-        coeffs = {}
-        for i in range(m):
-            if i:
-                fact *= i
-            coeffs[m - i] = p_cur(zk) / (q_pol(zk) ** e) / fact
-            p_cur = p_cur.derivative() * q_pol - (p_cur * q_pol.derivative()) * e
-            e += 1
-        raw[zk] = (m, coeffs)
+        raw[zk] = (m, _limit_coeffs(rem, _deflate(den, zk, m), zk, m))
 
     # enforce conjugate closure: real poles get real coefficients, paired
     # poles get exactly conjugate ones

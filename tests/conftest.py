@@ -1,6 +1,8 @@
 import os
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -9,3 +11,24 @@ def pytest_configure(config):
     # needs zinv importable from src/ too
     paths = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     os.environ["PYTHONPATH"] = os.pathsep.join(paths)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Denominators passed to zinv.factorize.factor_denominator during a test.
+
+    Counts the calls reached through the factorize module, which is how the
+    oracles factor (complex_pole_multiplicities); the closed form binds its
+    own name and is not counted.
+    """
+    from zinv import factorize
+
+    calls = []
+    real = factorize.factor_denominator
+
+    def counted(d, *args, **kwargs):
+        calls.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(factorize, "factor_denominator", counted)
+    return calls

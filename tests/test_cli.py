@@ -83,6 +83,24 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.startswith("error: quadratic-pole sequence overflows a float at n=")
 
+    def test_real_pole_overflow_exit_one(self, capsys):
+        # a finite power times the binomial rounds to inf from n = 1089
+        assert main(["table", "1/(z-1.9)^3", "--n", "1100"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: real-pole sequence overflows a float at n=1089\n"
+
+    def test_all_methods_factor_once(self, factor_calls, capsys):
+        # factored input: the closed form needs no factoring, and moreira
+        # and juric share one pole list
+        expr = "1/((z-0.5)^2 (z^2-z+0.5))"
+        assert main(["table", expr, "--n", "20", "--method", "all"]) == 0
+        assert len(factor_calls) == 1
+
+    def test_residue_factors_once(self, factor_calls, capsys):
+        expr = "1/((z-0.5)^2 (z^2-z+0.5))"
+        assert main(["table", expr, "--n", "40", "--method", "residue"]) == 0
+        assert len(factor_calls) == 1
+
 
 class TestCompare:
     def test_pass_exit_zero(self, capsys):

@@ -107,6 +107,19 @@ class TestRealPoleSeq:
         with pytest.raises(ValueError, match="origin pole must be an impulse"):
             real_pole_seq(1.0, 0.0, 1, 3)
 
+    @pytest.mark.parametrize(
+        "amp, pole, k, n",
+        [
+            (1.0, 1.9, 3, 1089),  # finite power, product rounds to inf
+            (1.0, -2.0, 1, 1100),  # the power itself overflows
+            (1e300, 1.5, 2, 1000),  # large amplitude
+        ],
+    )
+    def test_overflow_raises(self, amp, pole, k, n):
+        msg = f"real-pole sequence overflows a float at n={n}"
+        with pytest.raises(OverflowError, match=msg):
+            real_pole_seq(amp, pole, k, n)
+
 
 class TestInvert:
     def test_unit_quadratic(self):

@@ -6,6 +6,7 @@ import pytest
 from zinv import oracles
 from zinv.closedform import SequenceTable
 from zinv.corpus import random_rational
+from zinv.errors import FactorizationError
 from zinv.oracles import (
     compare_methods,
     juric_coefficients,
@@ -14,6 +15,7 @@ from zinv.oracles import (
     moreira_series,
     residue_value,
 )
+from zinv.parser import parse_rational_expr
 from zinv.pfe import RationalFunction, _deflate, _divided_by_z
 from zinv.polynomial import Polynomial
 
@@ -206,3 +208,49 @@ class TestCompareMethods:
         report = compare_methods(rf([1], [1, 0, 1]), n_max=10)
         for run in report.methods.values():
             assert run.seconds >= 0.0
+
+
+class TestSharedPoleLists:
+    """The oracles factor each of their two denominators once per request."""
+
+    def test_compare_factors_twice_with_exact_factors(self, factor_calls):
+        x, factored = random_rational(random.Random(42))
+        compare_methods(x, n_max=50, tol=1e-7, factored=factored)
+        assert len(factor_calls) == 2
+
+    def test_corpus_values_match_standalone_oracles(self):
+        # the standalone calls factor for themselves and never see the
+        # parser's factors, so equality also shows where compare's oracle
+        # poles come from
+        rng = random.Random(42)
+        standalone = {"longdiv": longdiv_series, "moreira": moreira_series, "juric": juric_series}
+        for _ in range(100):
+            x, factored = random_rational(rng)
+            report = compare_methods(x, n_max=50, tol=1e-7, factored=factored)
+            for name, series in standalone.items():
+                assert report.methods[name].values == series(x, 50).values
+            assert len(report.residue_checks) == 5
+            for n, val, _, err in report.residue_checks:
+                assert err is None and val == residue_value(x, n)
+
+    def test_factoring_error_stays_per_method(self, factor_calls):
+        # the closed form uses the exact factors; numeric factoring of the
+        # expanded 8-fold pole fails for every oracle that needs poles
+        x, factored = parse_rational_expr("1/(z-1.3)^8")
+        alone = {}
+        for name, call in (
+            ("moreira", lambda: moreira_series(x, 50)),
+            ("juric", lambda: juric_series(x, 50)),
+            ("residue", lambda: residue_value(x, 1)),
+        ):
+            with pytest.raises(FactorizationError) as exc:
+                call()
+            alone[name] = str(exc.value)
+        del factor_calls[:]
+        report = compare_methods(x, n_max=50, tol=1e-7, factored=factored)
+        assert len(factor_calls) == 2
+        assert report.methods["proposed"].values is not None
+        assert report.methods["longdiv"].values is not None
+        assert report.methods["moreira"].error == alone["moreira"]
+        assert report.methods["juric"].error == alone["juric"]
+        assert [err for *_, err in report.residue_checks] == [alone["residue"]] * 5
