@@ -194,7 +194,7 @@ def _print_report(text, report):
 
 
 def cmd_compare(args):
-    if args.fuzz:
+    if args.fuzz is not None:
         return _compare_fuzz(args)
     payloads = []
     all_pass = True
@@ -411,6 +411,9 @@ def main(argv=None):
             return 2
         if args.command == "compare" and args.tol <= 0:
             _fail("--tol must be > 0")
+            return 2
+        if args.command == "compare" and args.fuzz is not None and args.fuzz < 1:
+            _fail("--fuzz must be >= 1")
             return 2
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:

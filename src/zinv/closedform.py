@@ -1,6 +1,6 @@
 """Build and evaluate closed-form inverse Z-transforms from real partial fractions.
 
-The three term kinds and their sequences:
+The three term kinds (built by pfe.real_pfe, defined there) and their sequences:
 
 * ``Impulse(amp, index)``        -> amp * delta[n - index]
 * ``RealPole(amp, pole, mult)``  -> amp * C(n-1, k-1) * pole**(n-k), n >= k
@@ -38,49 +38,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factorize import factor_denominator
-from .pfe import RationalFunction, real_pfe
+from .pfe import Impulse, QuadPole, RationalFunction, RealPole, real_pfe
 
 DROP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Impulse:
-    """amp * delta[n - index]; negative index never fires for n >= 0."""
-
-    amp: float
-    index: int
-
-
-@dataclass(frozen=True)
-class RealPole:
-    """amp * C(n-1, mult-1) * pole**(n-mult), zero for n < mult."""
-
-    amp: float
-    pole: float
-    mult: int
-
-    def __post_init__(self):
-        if self.pole == 0:
-            raise ValueError("origin pole must be an impulse")
-        if self.mult < 1:
-            raise ValueError("multiplicity must be >= 1")
-
-
-@dataclass(frozen=True)
-class QuadPole:
-    """z_amp * s1[n] + const_amp * s0[n] for the pole pair a +/- ib."""
-
-    z_amp: float
-    const_amp: float
-    a: float
-    b: float
-    mult: int
-
-    def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("not a complex pair")
-        if self.mult < 1:
-            raise ValueError("multiplicity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -237,54 +197,37 @@ def eval_sequence(expr, n_max):
     return SequenceTable(values, "proposed", expr.source)
 
 
+def _amps(t):
+    return (t.z_amp, t.const_amp) if isinstance(t, QuadPole) else (t.amp,)
+
+
 def invert(x, factored=None, drop_tol=DROP_TOL):
     """Closed-form inverse transform of a rational function.
 
-    Factors the denominator (or uses a caller-supplied exact factorization),
-    expands over the reals, and maps each expansion term to a closed-form
-    term. Expansion terms that are zero to within drop_tol (relative) are
+    Factors the denominator (or uses a caller-supplied exact factorization)
+    and expands over the reals; real_pfe's terms are the closed-form terms.
+    Terms whose amplitudes are all zero to within drop_tol (relative) are
     dropped; z^k monomials with k >= 1 in the polynomial part are kept for
     rendering but never fire on n >= 0, and attach a warning.
     """
     warnings = []
     if x.den.degree == 0:
         # purely polynomial input (den normalized to 1)
-        pf_poly = x.num
-        origin_terms = real_terms = quad_terms = ()
+        poly, pf_terms = x.num, ()
     else:
-        f = factored if factored is not None else factor_denominator(x.den)
-        pf = real_pfe(x, f)
+        pf = real_pfe(x, factored if factored is not None else factor_denominator(x.den))
         warnings.extend(pf.warnings)
-        pf_poly = pf.poly_part
-        origin_terms, real_terms, quad_terms = (
-            pf.origin_terms,
-            pf.real_terms,
-            pf.quad_terms,
-        )
+        poly, pf_terms = pf.poly_part, pf.terms
 
-    amps = [abs(c) for c in pf_poly.coeffs]
-    amps += [abs(t.amp) for t in origin_terms]
-    amps += [abs(t.amp) for t in real_terms]
-    amps += [abs(t.z_amp) for t in quad_terms] + [abs(t.const_amp) for t in quad_terms]
-    cutoff = drop_tol * max([1.0, *amps])
+    amps = [*poly.coeffs, *(v for t in pf_terms for v in _amps(t))]
+    cutoff = drop_tol * max([1.0, *map(abs, amps)])
 
-    terms = []
-    for i, c in enumerate(pf_poly.coeffs):
-        if abs(c) > cutoff:
-            terms.append(Impulse(float(c), -i))
-    if pf_poly.degree >= 1:
+    terms = [Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if abs(c) > cutoff]
+    if poly.degree >= 1:
         warnings.append(
             "non-causal polynomial part: delta[n+k] terms vanish for n >= 0"
         )
-    for t in origin_terms:
-        if abs(t.amp) > cutoff:
-            terms.append(Impulse(t.amp, t.shift))
-    for t in real_terms:
-        if abs(t.amp) > cutoff:
-            terms.append(RealPole(t.amp, t.r, t.j))
-    for t in quad_terms:
-        if max(abs(t.z_amp), abs(t.const_amp)) > cutoff:
-            terms.append(QuadPole(t.z_amp, t.const_amp, t.a, t.b, t.j))
+    terms += [t for t in pf_terms if max(map(abs, _amps(t))) > cutoff]
     return ClosedFormExpr(tuple(terms), x, tuple(warnings))
 
 

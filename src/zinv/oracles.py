@@ -185,13 +185,13 @@ def residue_value(x, n, poles=None):
     For a pole of multiplicity m the residue is the (m-1)-th derivative of
     (z - z_k)^m X(z) z^(n-1) at z_k over (m-1)!: A_1 of _limit_coeffs on the
     deflated rational. n = 0 is excluded: z^(n-1) would add a pole at the
-    origin outside X's pole set. poles is complex_pole_multiplicities(x.den),
-    computed here when None.
+    origin outside X's pole set. poles is OraclePoles(x).of_x(), computed
+    here when None; a constant denominator has none, and the sum is 0.
     """
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
     if poles is None:
-        poles = complex_pole_multiplicities(x.den)
+        poles = OraclePoles(x).of_x()
     shifted = x.num.shift(n - 1)
     total = 0j
     for zk, m in poles:
@@ -213,14 +213,13 @@ class OraclePoles:
     """The oracles' two pole lists for one input, each factored at most once.
 
     over_z() is complex_pole_multiplicities of X(z)/z's denominator (moreira,
-    juric), of_x() of X's (residue). A factoring error is kept and raised at
-    each use, where the oracle would have raised it.
+    juric), of_x() of X's (residue); a constant denominator has no poles. A
+    factoring error is kept and raised at each use, where the oracle would
+    have raised it.
     """
 
     def __init__(self, x):
-        den = _divided_by_z(x)[1]
-        # a constant X(z)/z denominator: moreira and juric return before needing poles
-        self.over_z = _poles_once(den) if den.degree >= 1 else lambda: None
+        self.over_z = _poles_once(_divided_by_z(x)[1])
         self.of_x = _poles_once(x.den)
 
 
@@ -230,7 +229,7 @@ def _poles_once(p):
     def poles():
         if not memo:
             try:
-                memo.append(complex_pole_multiplicities(p))
+                memo.append(complex_pole_multiplicities(p) if p.degree >= 1 else ())
             except METHOD_ERRORS as exc:
                 memo.append(exc)
         if isinstance(memo[0], Exception):
@@ -277,11 +276,11 @@ class ComparisonReport:
 def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     """Run every method on x and report pairwise deviations.
 
-    Per-method failures are captured in the report rather than raised;
-    `passed` reflects only the deviations of the methods that produced
-    values, judged against tol * max(1, max |x[n]|) with the long-division
-    series as the preferred scale anchor. A non-finite bound or deviation
-    fails.
+    Per-method failures are captured in the report rather than raised, and
+    fail the case, except long division refusing an improper input (outside
+    its domain). Values are judged pairwise against tol * max(1, max |x[n]|),
+    with the long-division series as the preferred scale anchor. A non-finite
+    bound or deviation fails.
     """
     poles = OraclePoles(x)
 
@@ -304,7 +303,10 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
         return report
     report.scale = max(1.0, _worst(abs(v) for v in methods[anchor].values))
     bound = tol * report.scale
-    report.passed = math.isfinite(bound)
+    report.passed = math.isfinite(bound) and all(
+        run.error is None or (name == "longdiv" and not x.is_proper)
+        for name, run in methods.items()
+    )
 
     names = [m for m in methods if methods[m].values is not None]
     for i, a in enumerate(names):
@@ -327,4 +329,5 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
                 report.passed = False
         except METHOD_ERRORS as exc:
             report.residue_checks.append((n, None, None, f"{exc}"))
+            report.passed = False
     return report

@@ -3,9 +3,11 @@
 The real expansion determines coefficients by multiplying through by the
 denominator and equating polynomial coefficients; the resulting square system
 is solved exactly over rationals (every float is a rational), so structurally
-zero coefficients come out exactly zero. The complex expansion of X(z)/z uses
-the classical residue/limit formulas, implemented as repeated derivatives of
-the deflated rational.
+zero coefficients come out exactly zero. Each real partial fraction is read
+off as one closed-form term (Impulse, RealPole, QuadPole; closedform holds
+their sequence formulas). The complex expansion of X(z)/z uses the classical
+residue/limit formulas, implemented as repeated derivatives of the deflated
+rational.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -53,39 +56,54 @@ class RationalFunction:
 
 
 @dataclass(frozen=True)
-class OriginTerm:
-    """amp / z**shift"""
+class Impulse:
+    """amp / z**index -> amp * delta[n - index]; a negative index never fires on n >= 0."""
 
-    shift: int
     amp: float
+    index: int
 
 
 @dataclass(frozen=True)
-class RealTerm:
-    """amp / (z - r)**j"""
+class RealPole:
+    """amp / (z - pole)**mult -> amp * C(n-1, mult-1) * pole**(n-mult), n >= mult."""
 
-    r: float
-    j: int
     amp: float
+    pole: float
+    mult: int
+
+    def __post_init__(self):
+        if self.pole == 0:
+            raise ValueError("origin pole must be an impulse")
+        if self.mult < 1:
+            raise ValueError("multiplicity must be >= 1")
 
 
 @dataclass(frozen=True)
-class QuadTerm:
-    """(z_amp*z + const_amp) / (z**2 - 2az + (a**2+b**2))**j"""
+class QuadPole:
+    """(z_amp*z + const_amp) / (z**2 - 2az + (a**2+b**2))**mult.
 
-    a: float
-    b: float
-    j: int
+    -> z_amp * s1[n] + const_amp * s0[n] for the pole pair a +/- ib.
+    """
+
     z_amp: float
     const_amp: float
+    a: float
+    b: float
+    mult: int
+
+    def __post_init__(self):
+        if self.b <= 0:
+            raise ValueError("not a complex pair")
+        if self.mult < 1:
+            raise ValueError("multiplicity must be >= 1")
 
 
 @dataclass(frozen=True)
 class RealPartialFraction:
+    """poly_part + the sum of terms, each an Impulse, RealPole or QuadPole."""
+
     poly_part: Polynomial
-    origin_terms: tuple
-    real_terms: tuple
-    quad_terms: tuple
+    terms: tuple
     condition: float = 0.0
     warnings: tuple = ()
 
@@ -166,9 +184,10 @@ def real_pfe(x, f):
     """Expand x over the reals along the factor structure f of its denominator.
 
     The polynomial part comes from division when the numerator degree is not
-    smaller; the fraction coefficients come from one exact linear solve. The
-    condition estimate of the float-cast system is attached, with a warning
-    above 1e12.
+    smaller; the term amplitudes from one exact linear solve. Terms come in
+    factor order (origin, f.linears, f.quadratics, each by power), zeros
+    kept. The condition estimate of the float-cast system is attached, with a
+    warning above 1e12.
     """
     expanded = f.expand()
     if _rel_mismatch(expanded, x.den * f.scale) > _MATCH_RTOL:
@@ -187,24 +206,24 @@ def real_pfe(x, f):
         raise FactorizationError("inconsistent factorization: degree mismatch")
 
     if q == 0:
-        return RealPartialFraction(poly_part, (), (), (), 0.0, ())
+        return RealPartialFraction(poly_part, (), 0.0, ())
 
+    # one (term type, fields after the amplitudes) per term; a quadratic
+    # takes its z column, then its constant column
     layout = []
     cols = []
     for j in range(1, origin + 1):
-        layout.append(("origin", None, j, None))
+        layout.append((Impulse, (j,)))
         cols.append(_cofactor(origin, linears, quads, ("origin", None), j))
     for i, (r, u) in enumerate(linears):
         for j in range(1, u + 1):
-            layout.append(("lin", i, j, None))
+            layout.append((RealPole, (r, j)))
             cols.append(_cofactor(origin, linears, quads, ("lin", i), j))
     for i, (a, b, k) in enumerate(quads):
         for j in range(1, k + 1):
             base = _cofactor(origin, linears, quads, ("quad", i), j)
-            layout.append(("quad", i, j, "z"))
-            cols.append(base.shift(1))
-            layout.append(("quad", i, j, "1"))
-            cols.append(base)
+            layout.append((QuadPole, (a, b, j)))
+            cols += [base.shift(1), base]
 
     rows = [[col.coeff(i) for col in cols] for i in range(q)]
     rhs = [rem.coeff(i) for i in range(q)]
@@ -218,31 +237,12 @@ def real_pfe(x, f):
             f"ill-conditioned coefficient system (condition estimate {condition:.3g})",
         )
 
-    sol = [float(v) for v in _solve_exact(rows, rhs)]
-
-    origin_terms = []
-    real_terms = []
-    quad_parts = {}
-    for (kind, i, j, part), val in zip(layout, sol):
-        if kind == "origin":
-            origin_terms.append(OriginTerm(j, val))
-        elif kind == "lin":
-            real_terms.append(RealTerm(linears[i][0], j, val))
-        else:
-            quad_parts.setdefault((i, j), {})[part] = val
-    quad_terms = []
-    for (i, j), parts in sorted(quad_parts.items()):
-        a, b, _ = quads[i]
-        quad_terms.append(QuadTerm(a, b, j, parts["z"], parts["1"]))
-
-    return RealPartialFraction(
-        poly_part,
-        tuple(origin_terms),
-        tuple(real_terms),
-        tuple(quad_terms),
-        condition,
-        warnings,
+    sol = iter([float(v) for v in _solve_exact(rows, rhs)])
+    terms = tuple(
+        kind(*islice(sol, 2 if kind is QuadPole else 1), *fields)
+        for kind, fields in layout
     )
+    return RealPartialFraction(poly_part, terms, condition, warnings)
 
 
 def _deflate(p, z0, m):
@@ -341,25 +341,27 @@ def recombine(pf):
     Self-check oracle for real_pfe: the result must equal the source
     rational function coefficient-wise after normalization.
     """
-    origin = max((t.shift for t in pf.origin_terms), default=0)
+    origin = max((t.index for t in pf.terms if isinstance(t, Impulse)), default=0)
     lin_mult = {}
-    for t in pf.real_terms:
-        lin_mult[t.r] = max(lin_mult.get(t.r, 0), t.j)
     quad_mult = {}
-    for t in pf.quad_terms:
-        quad_mult[(t.a, t.b)] = max(quad_mult.get((t.a, t.b), 0), t.j)
+    for t in pf.terms:
+        if isinstance(t, RealPole):
+            lin_mult[t.pole] = max(lin_mult.get(t.pole, 0), t.mult)
+        elif isinstance(t, QuadPole):
+            quad_mult[(t.a, t.b)] = max(quad_mult.get((t.a, t.b), 0), t.mult)
     linears = sorted(lin_mult.items())
     quads = sorted((a, b, k) for (a, b), k in quad_mult.items())
 
     den = _cofactor(origin, linears, quads, ("none", None), 0)
     num = pf.poly_part * den
-    for t in pf.origin_terms:
-        num = num + _cofactor(origin, linears, quads, ("origin", None), t.shift) * t.amp
-    for t in pf.real_terms:
-        i = next(i for i, (r, _) in enumerate(linears) if r == t.r)
-        num = num + _cofactor(origin, linears, quads, ("lin", i), t.j) * t.amp
-    for t in pf.quad_terms:
-        i = next(i for i, (a, b, _) in enumerate(quads) if (a, b) == (t.a, t.b))
-        base = _cofactor(origin, linears, quads, ("quad", i), t.j)
-        num = num + base.shift(1) * t.z_amp + base * t.const_amp
+    for t in pf.terms:
+        if isinstance(t, Impulse):
+            num = num + _cofactor(origin, linears, quads, ("origin", None), t.index) * t.amp
+        elif isinstance(t, RealPole):
+            i = next(i for i, (r, _) in enumerate(linears) if r == t.pole)
+            num = num + _cofactor(origin, linears, quads, ("lin", i), t.mult) * t.amp
+        else:
+            i = next(i for i, (a, b, _) in enumerate(quads) if (a, b) == (t.a, t.b))
+            base = _cofactor(origin, linears, quads, ("quad", i), t.mult)
+            num = num + base.shift(1) * t.z_amp + base * t.const_amp
     return RationalFunction(num, den)

@@ -134,6 +134,24 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "10 cases" in out and "PASS" in out
 
+    def test_errored_method_fails(self, capsys):
+        # numeric factoring of the expanded 8-fold pole fails, so moreira,
+        # juric and every residue check error; the closed form and long
+        # division alone do not make a pass
+        assert main(["compare", "1/(z-1.3)^8", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["methods"]["moreira"]["error"] is not None
+
+    def test_constant_denominator_passes(self, capsys):
+        # long division refuses the improper input (outside its domain);
+        # with no poles every residue is 0
+        assert main(["compare", "z^2+1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert doc["methods"]["longdiv"]["error"] is not None
+        assert [c["value"] for c in doc["residue_checks"]] == [0.0] * 5
+
     def test_batch_compare(self, tmp_path, capsys):
         batch = tmp_path / "exprs.txt"
         batch.write_text("1/(z^2+1)\nz/(z-1)\n")
@@ -189,6 +207,11 @@ class TestUsage:
 
     def test_bad_tol(self, capsys):
         assert main(["compare", "z/(z-1)", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_fuzz_below_one(self, count, capsys):
+        assert main(["compare", "--fuzz", count]) == 2
+        assert "--fuzz must be >= 1" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -21,7 +21,7 @@ from zinv.corpus import random_rational
 from zinv.factorize import FactoredDenominator
 from zinv.oracles import longdiv_series
 from zinv.parser import parse_rational_expr
-from zinv.pfe import RationalFunction
+from zinv.pfe import RationalFunction, real_pfe
 from zinv.polynomial import Polynomial
 
 
@@ -159,6 +159,33 @@ class TestInvert:
         e = invert_expression("3 + 2*z")
         assert set(e.terms) == {Impulse(3.0, 0), Impulse(2.0, -1)}
         assert eval_sequence(e, 2).values == (3.0, 0.0, 0.0)
+
+
+class TestTermsFromRealPfe:
+    """invert's terms are real_pfe's, after the polynomial part's impulses."""
+
+    def test_corpus_terms_pass_through(self):
+        rng = random.Random(2024)
+        for _ in range(100):
+            x, f = random_rational(rng)
+            pf = real_pfe(x, f)
+            poly = tuple(
+                Impulse(float(c), -i) for i, c in enumerate(pf.poly_part.coeffs) if c
+            )
+            # drop_tol=0 still drops the structurally zero terms
+            nonzero = tuple(
+                t for t in pf.terms if any(getattr(t, k, 0) for k in ("amp", "z_amp", "const_amp"))
+            )
+            assert invert(x, factored=f, drop_tol=0).terms == poly + nonzero
+
+    def test_drop_tol_removes_small_term(self):
+        # the pole at 2 has an amplitude near 1e-13, under the default drop_tol
+        x, f = parse_rational_expr("(z-1.9999999999999)/((z-1)*(z-2))")
+        pf = real_pfe(x, f)
+        assert [type(t) for t in pf.terms] == [RealPole, RealPole]
+        assert 0 < abs(pf.terms[1].amp) < 1e-12
+        assert invert(x, factored=f, drop_tol=0).terms == pf.terms
+        assert invert(x, factored=f).terms == pf.terms[:1]
 
 
 def _per_n(expr, n_max):

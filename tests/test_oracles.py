@@ -8,6 +8,7 @@ from zinv.closedform import SequenceTable
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
 from zinv.oracles import (
+    OraclePoles,
     compare_methods,
     juric_coefficients,
     juric_series,
@@ -159,6 +160,11 @@ class TestResidue:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
             residue_value(rf([1], [1, 0, 1]), 0)
+
+    def test_constant_denominator_has_no_residue(self):
+        x = rf([1, 0, 1], [1])  # z^2 + 1
+        assert residue_value(x, 3) == 0.0
+        assert residue_value(x, 3, poles=OraclePoles(x).of_x()) == 0.0
 
     def test_origin_pole_via_residue(self):
         # 5/z^2: the shifted numerator cancels or exposes the origin pole

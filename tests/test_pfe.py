@@ -12,7 +12,9 @@ from zinv.factorize import (
     factor_denominator,
 )
 from zinv.pfe import (
+    QuadPole,
     RationalFunction,
+    RealPole,
     complex_pfe_over_z,
     real_pfe,
     recombine,
@@ -35,9 +37,9 @@ class TestRealPfe:
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
         pf = real_pfe(x, f)
         assert pf.poly_part.is_zero
-        assert pf.origin_terms == () and pf.real_terms == ()
-        (t,) = pf.quad_terms
-        assert (t.a, t.b, t.j) == (0.0, 1.0, 1)
+        (t,) = pf.terms
+        assert type(t) is QuadPole
+        assert (t.a, t.b, t.mult) == (0.0, 1.0, 1)
         assert t.z_amp == 0.0 and t.const_amp == 1.0
 
     def test_linear_times_quadratic(self):
@@ -49,10 +51,10 @@ class TestRealPfe:
             0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),), 1
         )
         pf = real_pfe(x, f)
-        (lt,) = pf.real_terms
-        assert (lt.r, lt.j) == (1.0, 1)
+        lt, qt = pf.terms
+        assert type(lt) is RealPole and type(qt) is QuadPole
+        assert (lt.pole, lt.mult) == (1.0, 1)
         assert lt.amp == 0.5
-        (qt,) = pf.quad_terms
         assert qt.z_amp == -0.5 and qt.const_amp == -0.5
 
     def test_improper_gets_polynomial_part(self):
@@ -60,7 +62,7 @@ class TestRealPfe:
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
         pf = real_pfe(x, f)
         assert pf.poly_part == Polynomial([0, 1])
-        (qt,) = pf.quad_terms
+        (qt,) = pf.terms
         assert qt.z_amp == -1.0 and qt.const_amp == 1.0
 
     def test_repeated_pair_structure_exact(self):
@@ -68,7 +70,7 @@ class TestRealPfe:
         x = RationalFunction(Polynomial([3, 2]), den)
         f = FactoredDenominator(0, (), (QuadraticFactor(1.0, 1.0, 3),), 1)
         pf = real_pfe(x, f)
-        by_j = {t.j: t for t in pf.quad_terms}
+        by_j = {t.mult: t for t in pf.terms}
         assert by_j[1].z_amp == 0.0 and by_j[1].const_amp == 0.0
         assert by_j[2].z_amp == 0.0 and by_j[2].const_amp == 0.0
         assert by_j[3].z_amp == 2.0 and by_j[3].const_amp == 3.0
@@ -186,13 +188,13 @@ class TestUniqueness:
                 f.scale,
             )
             pf2 = real_pfe(x, perm)
-            key1 = {(t.r, t.j): t.amp for t in pf1.real_terms}
-            key2 = {(t.r, t.j): t.amp for t in pf2.real_terms}
+            key1 = {(t.pole, t.mult): t.amp for t in pf1.terms if type(t) is RealPole}
+            key2 = {(t.pole, t.mult): t.amp for t in pf2.terms if type(t) is RealPole}
             assert key1.keys() == key2.keys()
             for k in key1:
                 assert abs(key1[k] - key2[k]) <= 1e-10 * max(1.0, abs(key1[k]))
-            q1 = {(t.a, t.b, t.j): (t.z_amp, t.const_amp) for t in pf1.quad_terms}
-            q2 = {(t.a, t.b, t.j): (t.z_amp, t.const_amp) for t in pf2.quad_terms}
+            q1 = {(t.a, t.b, t.mult): (t.z_amp, t.const_amp) for t in pf1.terms if type(t) is QuadPole}
+            q2 = {(t.a, t.b, t.mult): (t.z_amp, t.const_amp) for t in pf2.terms if type(t) is QuadPole}
             assert q1.keys() == q2.keys()
             for k in q1:
                 for v1, v2 in zip(q1[k], q2[k]):
