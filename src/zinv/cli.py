@@ -415,6 +415,11 @@ def main(argv=None):
         if args.command == "compare" and args.fuzz is not None and args.fuzz < 1:
             _fail("--fuzz must be >= 1")
             return 2
+        if args.command == "compare" and args.fuzz is not None and (
+            args.expression is not None or args.batch is not None
+        ):
+            _fail("--fuzz takes no expression or --batch")
+            return 2
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:
         _fail(str(exc))

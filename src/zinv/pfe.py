@@ -1,21 +1,20 @@
 """Partial fraction expansion: over the reals for X(z), over C for X(z)/z.
 
-The real expansion determines coefficients by multiplying through by the
-denominator and equating polynomial coefficients; the resulting square system
-is solved exactly over rationals (every float is a rational), so structurally
-zero coefficients come out exactly zero. Each real partial fraction is read
-off as one closed-form term (Impulse, RealPole, QuadPole; closedform holds
-their sequence formulas). The complex expansion of X(z)/z uses the classical
-residue/limit formulas, implemented as repeated derivatives of the deflated
-rational.
+The real expansion reads each factor's terms off locally, with no global
+linear system: Taylor coefficients at a real pole (the generalized cover-up
+rule) and F-adic digits at a quadratic power F**k. It is exact over the
+rationals of the factor floats (every float is a rational) and runs on ints,
+so structurally zero coefficients come out exactly zero. Each real partial
+fraction is read off as one closed-form term (Impulse, RealPole, QuadPole;
+closedform holds their sequence formulas). The complex expansion of X(z)/z
+uses the classical residue/limit formulas, implemented as repeated
+derivatives of the deflated rational.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -152,42 +151,96 @@ def _cofactor(origin, linears, quads, target, j):
     return p
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination with partial pivoting over exact rationals."""
-    n = len(rhs)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise FactorizationError("inconsistent factorization")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            m = a[r][col] / a[col][col]
-            for c in range(col, n + 1):
-                a[r][c] -= m * a[col][c]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = acc / a[r][r]
-    return x
-
-
 def _rel_mismatch(p, q):
     norm = max(p.norm_inf, q.norm_inf, 1e-300)
     hi = max(p.degree, q.degree)
     return max(abs(p.coeff(i) - q.coeff(i)) for i in range(hi + 1)) / norm
 
 
+def _condition(origin, linears, quads, q):
+    """Condition estimate of the float cofactor system, with its warning.
+
+    The columns are the cofactors of the terms in real_pfe's order, a
+    quadratic's z column before its constant column.
+    """
+    cols = []
+    for j in range(1, origin + 1):
+        cols.append(_cofactor(origin, linears, quads, ("origin", None), j))
+    for i, (_, u) in enumerate(linears):
+        for j in range(1, u + 1):
+            cols.append(_cofactor(origin, linears, quads, ("lin", i), j))
+    for i, (_, _, k) in enumerate(quads):
+        for j in range(1, k + 1):
+            base = _cofactor(origin, linears, quads, ("quad", i), j)
+            cols += [base.shift(1), base]
+    mat = np.array([[float(col.coeff(i)) for col in cols] for i in range(q)], dtype=float)
+    with np.errstate(all="ignore"):
+        condition = float(np.linalg.cond(mat))
+    if not math.isfinite(condition) or condition > COND_WARN:
+        return condition, (
+            f"ill-conditioned coefficient system (condition estimate {condition:.3g})",
+        )
+    return condition, ()
+
+
+def _common_den(values):
+    """Least common denominator of ints, floats and Fractions (2**e for floats)."""
+    return math.lcm(*(v.as_integer_ratio()[1] for v in values))
+
+
+def _scaled(v, s):
+    """s*v as an int, for s a multiple of v's denominator."""
+    n, d = v.as_integer_ratio()
+    return n * (s // d)
+
+
+def _local_digits(num, den, phi, k):
+    """phi-adic digits of num/den's principal part at phi**k, over the integers.
+
+    phi is monic of degree 1 or 2 and divides den exactly k times. Returns
+    (digits, c) with the principal part sum_j digits[j] / (c * phi**(k-j)),
+    each digit of degree < deg phi. The inverse of G = den/phi**k mod phi is
+    the closed form (g0 - g1 f1 - g1 w)/norm (g0/g0**2 for a linear phi),
+    lifted to phi**k by Newton's v <- v(2 - Gv) with the denominator carried
+    as one integer.
+    """
+    top = phi**k
+    g = den // top
+    low = g % phi
+    g0, g1 = low.coeff(0), low.coeff(1)
+    f0, f1 = phi.coeff(0), phi.coeff(1)
+    c = g0 * g0 - g0 * g1 * f1 + g1 * g1 * f0
+    if c == 0:  # G shares a root with phi: f lists a factor twice
+        raise FactorizationError("inconsistent factorization")
+    v, m = Polynomial((g0 - g1 * f1, -g1)), 1
+    while m < k:
+        m = min(2 * m, k)
+        mod = phi**m
+        v = v * (2 * c - (g % mod) * v) % mod
+        c *= c
+    p = (num % top) * v % top
+    digits = []
+    for _ in range(k):
+        p, d = divmod(p, phi)
+        digits.append(d)
+    return digits, c
+
+
 def real_pfe(x, f):
     """Expand x over the reals along the factor structure f of its denominator.
 
     The polynomial part comes from division when the numerator degree is not
-    smaller; the term amplitudes from one exact linear solve. Terms come in
-    factor order (origin, f.linears, f.quadratics, each by power), zeros
-    kept. The condition estimate of the float-cast system is attached, with a
-    warning above 1e12.
+    smaller. The terms are read off factor by factor, exactly over the
+    rationals of the factor floats: at (z-r)**u and z**o the amplitudes are
+    the first u Taylor coefficients of N/G at r (G the rest of the
+    denominator), at a quadratic power F**k the F-adic digits of
+    N * G**-1 mod F**k. Substituting z = w/s, with s the common denominator
+    of the factor values (a power of two for floats), makes every factor a
+    monic integer polynomial, so all of this runs on ints and each amplitude
+    is rounded once. Terms come in factor order (origin,
+    f.linears, f.quadratics, each by power), zeros kept. The condition
+    estimate of the float cofactor system is attached, with a warning above
+    1e12.
     """
     expanded = f.expand()
     if _rel_mismatch(expanded, x.den * f.scale) > _MATCH_RTOL:
@@ -208,41 +261,31 @@ def real_pfe(x, f):
     if q == 0:
         return RealPartialFraction(poly_part, (), 0.0, ())
 
-    # one (term type, fields after the amplitudes) per term; a quadratic
-    # takes its z column, then its constant column
-    layout = []
-    cols = []
-    for j in range(1, origin + 1):
-        layout.append((Impulse, (j,)))
-        cols.append(_cofactor(origin, linears, quads, ("origin", None), j))
-    for i, (r, u) in enumerate(linears):
-        for j in range(1, u + 1):
-            layout.append((RealPole, (r, j)))
-            cols.append(_cofactor(origin, linears, quads, ("lin", i), j))
-    for i, (a, b, k) in enumerate(quads):
+    condition, warnings = _condition(origin, linears, quads, q)
+
+    # z = w/s: rem(z)/D(z) = s * num(w) / (t * den(w)), num and den integer
+    s = _common_den([r for r, _ in linears] + [v for a, b, _ in quads for v in (a, b)])
+    t = _common_den(rem.coeffs)
+    num = Polynomial([_scaled(c, t) * s ** (q - 1 - i) for i, c in enumerate(rem.coeffs)])
+    # (term type, fields between the amplitudes and the power, w-factor, power)
+    local = [(Impulse, (), Polynomial((0, 1)), origin)] if origin else []
+    for r, u in linears:
+        local.append((RealPole, (r,), Polynomial((-_scaled(r, s), 1)), u))
+    for a, b, k in quads:
+        sa, sb = _scaled(a, s), _scaled(b, s)
+        local.append((QuadPole, (a, b), Polynomial((sa * sa + sb * sb, -2 * sa, 1)), k))
+    den = math.prod((phi**k for _, _, phi, k in local), start=Polynomial((1,)))
+
+    terms = []
+    for kind, fields, phi, k in local:
+        digits, c = _local_digits(num, den, phi, k)
+        deg = phi.degree
         for j in range(1, k + 1):
-            base = _cofactor(origin, linears, quads, ("quad", i), j)
-            layout.append((QuadPole, (a, b, j)))
-            cols += [base.shift(1), base]
-
-    rows = [[col.coeff(i) for col in cols] for i in range(q)]
-    rhs = [rem.coeff(i) for i in range(q)]
-
-    mat = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    with np.errstate(all="ignore"):
-        condition = float(np.linalg.cond(mat))
-    warnings = ()
-    if not math.isfinite(condition) or condition > COND_WARN:
-        warnings = (
-            f"ill-conditioned coefficient system (condition estimate {condition:.3g})",
-        )
-
-    sol = iter([float(v) for v in _solve_exact(rows, rhs)])
-    terms = tuple(
-        kind(*islice(sol, 2 if kind is QuadPole else 1), *fields)
-        for kind, fields in layout
-    )
-    return RealPartialFraction(poly_part, terms, condition, warnings)
+            d = digits[k - j]
+            # w**i/phi(w)**j = s**(i - deg*j) z**i/phi(z)**j, all times s/t
+            amps = [d.coeff(i) / (c * t * s ** (deg * j - 1 - i)) for i in reversed(range(deg))]
+            terms.append(kind(*amps, *fields, j))
+    return RealPartialFraction(poly_part, tuple(terms), condition, warnings)
 
 
 def _deflate(p, z0, m):

@@ -8,6 +8,8 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
+
 TRIM_EPS = 1e-12
 
 
@@ -119,6 +121,10 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """self**k by repeated multiplication (k >= 0)."""
+        return math.prod([self] * k, start=ONE)
 
     def __divmod__(self, den):
         """Quotient and remainder; exact in the scalar arithmetic used.

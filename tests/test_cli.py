@@ -213,6 +213,15 @@ class TestUsage:
         assert main(["compare", "--fuzz", count]) == 2
         assert "--fuzz must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["expression", "batch"])
+    def test_fuzz_with_input_rejected(self, source, tmp_path, capsys):
+        # the fuzz run would PASS on random cases while this input FAILs
+        batch = tmp_path / "exprs.txt"
+        batch.write_text("1/(z-1.3)^8\n")
+        given = ["1/(z-1.3)^8"] if source == "expression" else ["--batch", str(batch)]
+        assert main(["compare", *given, "--fuzz", "2"]) == 2
+        assert "--fuzz takes no expression or --batch" in capsys.readouterr().err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zinv.cli", "invert", "1/(z-3)"],

@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+
+from zinv import corpus
 
 from zinv.closedform import (
     ClosedFormExpr,
@@ -221,6 +224,52 @@ def _expansion(rng, pairs, reals):
         terms += [RealPole(rng.uniform(-2.0, 2.0), pole, j) for j in range(1, k + 1)]
     rng.shuffle(terms)
     return ClosedFormExpr(tuple(terms), None)
+
+
+def _exact_series(x, n_max):
+    """x[0..n_max] of a proper x with a monic denominator, exact, then rounded.
+
+    Every float is a rational. With m and f the common denominators of the
+    denominator's and the numerator's coefficients, y[n] = x[n] * f * m**n
+    is an integer, so long division runs on the y[n] without a gcd.
+    """
+    num = [Fraction(v) for v in x.num.coeffs]
+    den = [Fraction(v) for v in x.den.coeffs]
+    assert den[-1] == 1
+    q = len(den) - 1
+    m = math.lcm(*(v.denominator for v in den))
+    f = math.lcm(*(v.denominator for v in num))
+    d = [int(v * m) for v in den]
+    c = [int(v * f) for v in num]
+    ys = []
+    for n in range(n_max + 1):
+        y = (c[q - n] if 0 <= q - n < len(c) else 0) * m**n
+        y -= sum(d[q - i] * ys[n - i] * m ** (i - 1) for i in range(1, min(n, q) + 1))
+        ys.append(y)
+    return [y / (f * m**n) for n, y in enumerate(ys)]
+
+
+class TestStressAccuracy:
+    """The closed form against exact long division at close, repeated poles.
+
+    Each term is the exact expansion over the factor floats rounded once, so
+    the error stays near rounding even where the expansion is ill-conditioned.
+    """
+
+    @pytest.mark.parametrize(
+        "separation, max_mult",
+        [(0.05, 4), (corpus.MIN_SEPARATION, 5)],
+        ids=["stress-close", "stress-mult"],
+    )
+    def test_scaled_error_within_1e_8(self, separation, max_mult, monkeypatch):
+        monkeypatch.setattr(corpus, "MIN_SEPARATION", separation)
+        rng = random.Random(7)
+        for case in range(200):
+            x, f = random_rational(rng, max_degree=12, max_mult=max_mult)
+            exact = _exact_series(x, 50)
+            got = eval_sequence(invert(x, f), 50)
+            worst = max(abs(a - b) for a, b in zip(got, exact))
+            assert worst <= 1e-8 * max(1.0, *map(abs, exact)), case
 
 
 class TestTablePath:

@@ -81,6 +81,21 @@ class TestRealPfe:
         with pytest.raises(FactorizationError, match="inconsistent factorization"):
             real_pfe(x, wrong)
 
+    @pytest.mark.parametrize(
+        "linears, quads",
+        [
+            ((LinearFactor(1.0, 1), LinearFactor(1.0, 1)), ()),
+            ((), (QuadraticFactor(0.5, 0.5, 1), QuadraticFactor(0.5, 0.5, 1))),
+        ],
+        ids=["linear", "quadratic"],
+    )
+    def test_duplicated_factor_rejected(self, linears, quads):
+        # the factors expand to the denominator, but no expansion exists
+        f = FactoredDenominator(0, linears, quads, 1)
+        x = RationalFunction(Polynomial([1]), f.expand())
+        with pytest.raises(FactorizationError, match="inconsistent factorization"):
+            real_pfe(x, f)
+
     def test_condition_estimate_attached(self):
         x = rf([1], [1, 0, 1])
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)

@@ -133,6 +133,10 @@ class TestHousekeeping:
     def test_shift(self):
         assert Polynomial([1, 2]).shift(2) == Polynomial([0, 0, 1, 2])
 
+    def test_power(self):
+        assert Polynomial([1, 1]) ** 3 == Polynomial([1, 3, 3, 1])
+        assert Polynomial([2, 1]) ** 0 == Polynomial([1])
+
     def test_str_readable(self):
         assert str(Polynomial([-8, 12, -6, 1])) == "z^3 - 6*z^2 + 12*z - 8"
         assert str(Polynomial([])) == "0"
