@@ -206,9 +206,10 @@ def invert(x, factored=None, drop_tol=DROP_TOL):
 
     Factors the denominator (or uses a caller-supplied exact factorization)
     and expands over the reals; real_pfe's terms are the closed-form terms.
-    Terms whose amplitudes are all zero to within drop_tol (relative) are
-    dropped; z^k monomials with k >= 1 in the polynomial part are kept for
-    rendering but never fire on n >= 0, and attach a warning.
+    Terms whose amplitudes are all within drop_tol times the largest
+    amplitude are dropped, with no absolute floor; z^k monomials with k >= 1
+    in the polynomial part are kept for rendering but never fire on n >= 0,
+    and attach a warning.
     """
     warnings = []
     if x.den.degree == 0:
@@ -220,7 +221,7 @@ def invert(x, factored=None, drop_tol=DROP_TOL):
         poly, pf_terms = pf.poly_part, pf.terms
 
     amps = [*poly.coeffs, *(v for t in pf_terms for v in _amps(t))]
-    cutoff = drop_tol * max([1.0, *map(abs, amps)])
+    cutoff = drop_tol * max([0.0, *map(abs, amps)])
 
     terms = [Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if abs(c) > cutoff]
     if poly.degree >= 1:

@@ -10,14 +10,15 @@ Grammar (EBNF, whitespace insignificant, implicit multiplication allowed):
     atom      = NUMBER | "z" | "(" expr ")" ;
 
 Exponents must be non-negative integer literals, and division may appear only
-once, outside any parentheses. When the denominator is written as a product of
-powers of linear or irreducible quadratic polynomials, its factor structure is
-extracted exactly so that inversion can bypass numeric root finding.
+once, outside any parentheses. The parser evaluates as it parses: each rule
+yields its polynomial together with the multiplicands it folded into it. When
+the denominator is written as a product of powers of linear or irreducible
+quadratic polynomials, its exact factor structure is read off those
+multiplicands, so that inversion can bypass numeric root finding.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from .pfe import RationalFunction
-from .polynomial import Polynomial
+from .polynomial import Z, Polynomial
 
 _TOKEN_RE = re.compile(
     r"""
@@ -81,45 +82,20 @@ def tokenize(text):
     return tokens
 
 
-# -- AST --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: object
-    span: tuple
-
-
-@dataclass(frozen=True)
-class Var:
-    span: tuple
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    span: tuple
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    span: tuple
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
-    span: tuple
-
-
 _ATOM_START = ("number", "z", "(")
+_MINUS_ONE = (Polynomial((-1,)), 1, 0, False)
 
 
 class _Parser:
+    """Recursive descent that evaluates while it parses.
+
+    Every rule returns (value, factors): the polynomial it denotes, and the
+    multiplicands whose product it is, each (base, exp, pos, powered) with
+    pos the offset where the base is written. A product concatenates its
+    operands' factors, unary minus adds a -1 constant, "^" gives one powered
+    factor, and parentheses are transparent; a sum is one factor.
+    """
+
     def __init__(self, text, tokens):
         self.text = text
         self.tokens = tokens
@@ -137,47 +113,47 @@ class _Parser:
         raise _error(self.text, self.peek().pos, message, expected)
 
     def parse(self):
-        node = self.expr()
+        result = self.expr()
         if self.peek().kind != "end":
             self.fail(
                 f"unexpected token {self.peek().value!r}",
                 expected=("operator", "end of input"),
             )
-        return node
+        return result
 
     def expr(self):
-        node = self.term()
+        pos = self.peek().pos
+        value, factors = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            rhs = self.term()
-            node = Bin(op, node, rhs, (node.span[0], rhs.span[1]))
-        return node
+            rhs = self.term()[0]
+            value = value + rhs if op == "+" else value - rhs
+            factors = [(value, 1, pos, False)]
+        return value, factors
 
     def term(self):
-        node = self.unary()
+        value, factors = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
+            kind = self.peek().kind
+            if kind == "*":
                 self.next()
-                rhs = self.unary()
-            elif tok.kind in _ATOM_START:
-                rhs = self.unary()  # implicit multiplication, e.g. "2z"
-            else:
-                return node
-            node = Bin("*", node, rhs, (node.span[0], rhs.span[1]))
+            elif kind not in _ATOM_START:  # an atom here multiplies implicitly, e.g. "2z"
+                return value, factors
+            rhs, more = self.unary()
+            value, factors = value * rhs, factors + more
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            child = self.unary()
-            return Neg(child, (tok.pos, child.span[1]))
-        return self.power()
+        if self.peek().kind != "-":
+            return self.power()
+        self.next()
+        value, factors = self.unary()
+        return -value, [_MINUS_ONE, *factors]
 
     def power(self):
-        base = self.atom()
+        pos = self.peek().pos
+        base, factors = self.atom()
         if self.peek().kind != "^":
-            return base
+            return base, factors
         self.next()
         tok = self.peek()
         if tok.kind == "-":
@@ -187,96 +163,61 @@ class _Parser:
         if not isinstance(tok.value, int):
             raise _error(self.text, tok.pos, "non-integer exponent is not allowed")
         self.next()
-        return Pow(base, tok.value, (base.span[0], tok.pos + len(str(tok.value))))
+        k = tok.value
+        # z^k directly: the repeated product gives exactly these ints
+        value = Polynomial((0,) * k + (1,)) if base is Z else base**k
+        return value, [(base, k, pos, True)]
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            return Num(tok.value, (tok.pos, tok.pos))
-        if tok.kind == "z":
+            value = Polynomial((tok.value,))
+        elif tok.kind == "z":
             self.next()
-            return Var((tok.pos, tok.pos))
-        if tok.kind == "(":
+            value = Z
+        elif tok.kind == "(":
             self.next()
-            node = self.expr()
+            value, factors = self.expr()
             if self.peek().kind != ")":
                 self.fail("missing closing parenthesis", expected=(")",))
-            close = self.next()
-            return dataclasses.replace(node, span=(tok.pos, close.pos))
-        self.fail(
-            f"unexpected token {tok.value!r}" if tok.kind != "end" else "unexpected end of input",
-            expected=("NUMBER", "'z'", "'('", "'-'"),
-        )
-
-
-def _to_polynomial(node, text):
-    if isinstance(node, Num):
-        return Polynomial((node.value,))
-    if isinstance(node, Var):
-        return Polynomial((0, 1))
-    if isinstance(node, Neg):
-        return -_to_polynomial(node.child, text)
-    if isinstance(node, Pow):
-        base = _to_polynomial(node.base, text)
-        out = Polynomial((1,))
-        for _ in range(node.exp):
-            out = out * base
-        return out
-    if isinstance(node, Bin):
-        left = _to_polynomial(node.left, text)
-        right = _to_polynomial(node.right, text)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise TypeError(f"unknown node {node!r}")
+            self.next()
+            if len(factors) > 1 or factors[0][3]:
+                return value, factors
+            # a lone unpowered factor, a sum say, is located at its outermost "("
+        else:
+            self.fail(
+                f"unexpected token {tok.value!r}" if tok.kind != "end" else "unexpected end of input",
+                expected=("NUMBER", "'z'", "'('", "'-'"),
+            )
+        return value, [(value, 1, tok.pos, False)]
 
 
 # -- factored-denominator extraction -----------------------------------------
 
 
-def _flatten_product(node, factors, state):
-    if isinstance(node, Bin) and node.op == "*":
-        _flatten_product(node.left, factors, state)
-        _flatten_product(node.right, factors, state)
-    elif isinstance(node, Neg):
-        state["sign"] = -state["sign"]
-        _flatten_product(node.child, factors, state)
-    elif isinstance(node, Pow):
-        state["explicit"] = True
-        factors.append((node.base, node.exp))
-    else:
-        factors.append((node, 1))
-
-
-def _extract_factored(node, text):
-    """Exact factor structure of a denominator AST, or None to fall back.
+def _extract_factored(factors, text):
+    """Exact factor structure of a denominator from its multiplicands, or
+    None to fall back.
 
     Raises only for explicitly factored input containing a quadratic factor
     that is reducible over the reals.
     """
-    factors = []
-    state = {"sign": 1, "explicit": False}
-    _flatten_product(node, factors, state)
     poly_factors = []
-    scale = state["sign"]
-    for base, exp in factors:
-        p = _to_polynomial(base, text)
+    scale = 1
+    for p, exp, pos, _ in factors:
         if p.degree == 0:
             scale *= p.coeff(0) ** exp
         elif exp > 0:
-            poly_factors.append((p, exp, base))
-    if state["explicit"] is False and len(poly_factors) > 1:
-        state["explicit"] = True
+            poly_factors.append((p, exp, pos))
+    explicit = len(poly_factors) > 1 or any(powered for *_, powered in factors)
     if scale == 0:
         return None
 
     origin = 0
     linears = {}
     quads = {}
-    for p, exp, base in poly_factors:
+    for p, exp, pos in poly_factors:
         if p.degree == 1:
             c0, c1 = p.coeff(0), p.coeff(1)
             scale *= c1**exp
@@ -294,11 +235,8 @@ def _extract_factored(node, text):
             c0, c1, c2 = p.coeff(0), p.coeff(1), p.coeff(2)
             disc = c1 * c1 - 4 * c2 * c0
             if disc >= 0:
-                if state["explicit"]:
-                    start = base.span[0] if hasattr(base, "span") else 0
-                    raise _error(
-                        text, start, "factor is reducible; supply linear factors"
-                    )
+                if explicit:
+                    raise _error(text, pos, "factor is reducible; supply linear factors")
                 return None
             a = -c1 / (2 * c2)
             b = math.sqrt(-disc) / (2 * abs(c2))
@@ -361,18 +299,16 @@ def parse_rational_expr(text):
         if den_tokens[0].kind == "end":
             raise _error(text, end.pos, "missing denominator after '/'")
 
-    num_ast = _Parser(text, num_tokens).parse()
-    num = _to_polynomial(num_ast, text)
+    num = _Parser(text, num_tokens).parse()[0]
     if den_tokens is None:
         return RationalFunction(num, Polynomial((1,))), None
 
-    den_ast = _Parser(text, den_tokens).parse()
-    den = _to_polynomial(den_ast, text)
+    den, den_factors = _Parser(text, den_tokens).parse()
     if den.is_zero:
         raise _error(text, tokens[slash].pos, "denominator is identically zero")
     factored = None
     if den.degree >= 1:
-        factored = _extract_factored(den_ast, text)
+        factored = _extract_factored(den_factors, text)
         if factored is not None and factored.degree != den.degree:
             factored = None
     return RationalFunction(num, den), factored

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError
-from .factorize import complex_pole_multiplicities
+from .factorize import _expand_error, complex_pole_multiplicities
 from .polynomial import Polynomial
 
 COND_WARN = 1e12
@@ -151,12 +151,6 @@ def _cofactor(origin, linears, quads, target, j):
     return p
 
 
-def _rel_mismatch(p, q):
-    norm = max(p.norm_inf, q.norm_inf, 1e-300)
-    hi = max(p.degree, q.degree)
-    return max(abs(p.coeff(i) - q.coeff(i)) for i in range(hi + 1)) / norm
-
-
 def _condition(origin, linears, quads, q):
     """Condition estimate of the float cofactor system, with its warning.
 
@@ -242,8 +236,7 @@ def real_pfe(x, f):
     estimate of the float cofactor system is attached, with a warning above
     1e12.
     """
-    expanded = f.expand()
-    if _rel_mismatch(expanded, x.den * f.scale) > _MATCH_RTOL:
+    if _expand_error(x.den * f.scale, f) > _MATCH_RTOL:
         raise FactorizationError(
             "inconsistent factorization: factors do not expand to the denominator"
         )

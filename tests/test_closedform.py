@@ -190,6 +190,18 @@ class TestTermsFromRealPfe:
         assert invert(x, factored=f, drop_tol=0).terms == pf.terms
         assert invert(x, factored=f).terms == pf.terms[:1]
 
+    def test_small_scale_amplitudes_kept(self):
+        # every amplitude is far below 1, but the cutoff is relative to the
+        # largest one, so all six terms stay
+        x, f = parse_rational_expr("1/((z-123456.789)^3*(z-1e-5)^3)")
+        e = invert(x, factored=f)
+        assert len(e.terms) == 6
+        got = eval_sequence(e, 8).values
+        want = longdiv_series(x, 8).values
+        assert want[6] == 1.0
+        scale = max(map(abs, want))
+        assert all(abs(g - w) <= 1e-9 * scale for g, w in zip(got, want))
+
 
 def _per_n(expr, n_max):
     """Reference for eval_sequence: each x[n] from the random-access API,

@@ -99,6 +99,34 @@ class TestFactoredExtraction:
         assert f.scale == -1
         assert f.linears == (LinearFactor(2, 1),)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("1/((z-5)*((z^2-3*z+2)))", 10), ("1/(-(z^2-3*z+2)^2)", 5)],
+    )
+    def test_reducible_factor_column(self, text, column):
+        # a parenthesized factor is located at its outermost "("
+        with pytest.raises(ParseError, match="reducible") as e:
+            parse_rational_expr(text)
+        assert e.value.column == column
+
+    def test_sign_and_constants_through_nested_products(self):
+        _, f = parse_rational_expr("1/(2*((z-1)*(-(z+3))))")
+        assert f.scale == -2
+        assert f.linears == (LinearFactor(-3, 1), LinearFactor(1, 1))
+
+    @pytest.mark.parametrize(
+        "text, num",
+        [
+            ("-1.5*z^3 + 2*z", "(0.0, 2.0, 0.0, -1.5)"),
+            ("(1.0*z)^3/(z-1)", "(0, 0, 0.0, 1.0)"),
+            ("z^5", "(0, 0, 0, 0, 0, 1)"),
+        ],
+    )
+    def test_coefficient_types(self, text, num):
+        # int and float coefficients print differently in JSON
+        x, _ = parse_rational_expr(text)
+        assert repr(x.num.coeffs) == num
+
 
 class TestErrors:
     def test_syntax_error_position(self):
