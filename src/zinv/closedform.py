@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factorize import factor_denominator
-from .pfe import Impulse, QuadPole, RationalFunction, RealPole, real_pfe
+from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
 
 DROP_TOL = 1e-12
 
@@ -195,10 +195,6 @@ def eval_sequence(expr, n_max):
     columns = [_column(t, n_max, s0) for t in expr.terms]
     values = tuple(map(sum, zip(*columns))) if columns else (0,) * (n_max + 1)
     return SequenceTable(values, "proposed", expr.source)
-
-
-def _amps(t):
-    return (t.z_amp, t.const_amp) if isinstance(t, QuadPole) else (t.amp,)
 
 
 def invert(x, factored=None, drop_tol=DROP_TOL):

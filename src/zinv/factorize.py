@@ -51,10 +51,6 @@ class QuadraticFactor:
             raise ValueError("multiplicity must be >= 1")
 
     @property
-    def modulus(self):
-        return math.hypot(self.a, self.b)
-
-    @property
     def angle(self):
         """Principal argument of a + ib; lies in (0, pi) since b > 0."""
         return math.atan2(self.b, self.a)
@@ -99,7 +95,7 @@ class FactoredDenominator:
         return sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
 
 
-def find_roots(p, max_iter=30):
+def find_roots(p):
     """All complex roots of p (with repetition), Newton-polished.
 
     Returns a list of (root, residual) with residual = |p(root)|, sorted by
@@ -119,7 +115,7 @@ def find_roots(p, max_iter=30):
         raw = np.roots(np.array(coeffs[::-1]))
         stripped = Polynomial(coeffs)
         tiny = 1e-15 * max(1.0, stripped.norm_inf)
-        roots.extend(_newton(stripped, complex(z0), max_iter, tiny) for z0 in raw)
+        roots.extend(_newton(stripped, complex(z0), iters=30, stop=tiny) for z0 in raw)
     out = sorted(
         ((z, abs(p(z))) for z in roots), key=lambda zr: (zr[0].real, zr[0].imag)
     )
@@ -310,9 +306,7 @@ def _location_count(f):
     return (1 if f.origin_mult else 0) + len(f.linears) + 2 * len(f.quadratics)
 
 
-def factor_denominator(
-    d, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TOL_REAL
-):
+def factor_denominator(d):
     """Recover the full factor structure of a real polynomial numerically.
 
     Composes find_roots and cluster_and_pair over a ladder of cluster widths
@@ -331,9 +325,9 @@ def factor_denominator(
 
     candidates = []
     best_err = math.inf
-    for order, tc in enumerate((tol_cluster, *_PROMOTION_TOLS)):
+    for order, tc in enumerate((DEFAULT_TOL_CLUSTER, *_PROMOTION_TOLS)):
         try:
-            skel = cluster_and_pair(roots, tc, tol_real)
+            skel = cluster_and_pair(roots, tc)
         except FactorizationError:
             continue
         cand = FactoredDenominator(
@@ -351,12 +345,10 @@ def factor_denominator(
     return min(candidates)[2]
 
 
-def complex_pole_multiplicities(
-    p, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TOL_REAL
-):
+def complex_pole_multiplicities(p):
     """Distinct complex poles of a real polynomial with multiplicities.
 
     Same recovery pipeline as factor_denominator, returned as a
     conjugate-closed (pole, multiplicity) list.
     """
-    return factor_denominator(p, tol_cluster, tol_real).pole_list()
+    return factor_denominator(p).pole_list()

@@ -6,9 +6,10 @@ rule) and F-adic digits at a quadratic power F**k. It is exact over the
 rationals of the factor floats (every float is a rational) and runs on ints,
 so structurally zero coefficients come out exactly zero. Each real partial
 fraction is read off as one closed-form term (Impulse, RealPole, QuadPole;
-closedform holds their sequence formulas). The complex expansion of X(z)/z
-uses the classical residue/limit formulas, implemented as repeated
-derivatives of the deflated rational.
+closedform holds their sequence formulas); the condition estimate is a
+cancellation bound read off the terms alone.
+The complex expansion of X(z)/z uses the classical residue/limit formulas,
+implemented as repeated derivatives of the deflated rational.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FactorizationError
 from .factorize import _expand_error, complex_pole_multiplicities
-from .polynomial import Polynomial
+from .polynomial import ONE, Z, Polynomial
 
 COND_WARN = 1e12
 _MATCH_RTOL = 1e-6
@@ -124,52 +123,48 @@ class ComplexPartialFraction:
     max_asymmetry: float = 0.0
 
 
-def _shape_lists(f):
-    """Monic factor shape of a FactoredDenominator as plain lists."""
-    linears = [(g.r, g.u) for g in f.linears]
-    quads = [(g.a, g.b, g.k) for g in f.quadratics]
-    return f.origin_mult, linears, quads
+def _factor(t):
+    """(phi, j) of a term amps/phi**j: phi = z, z - r or z**2 - 2az + (a**2+b**2)."""
+    if isinstance(t, Impulse):
+        return Z, t.index
+    if isinstance(t, RealPole):
+        return Polynomial((-t.pole, 1)), t.mult
+    return Polynomial((t.a * t.a + t.b * t.b, -2 * t.a, 1)), t.mult
 
 
-def _cofactor(origin, linears, quads, target, j):
-    """Product of all factors with `target`'s exponent reduced by j.
+def _amps(t):
+    """A term's amplitudes, the z coefficient first."""
+    return (t.z_amp, t.const_amp) if isinstance(t, QuadPole) else (t.amp,)
 
-    target is ("origin", None), ("lin", i) or ("quad", i).
+
+def _factor_powers(terms):
+    """{factor: highest power} over the terms' factors."""
+    powers = {}
+    for t in terms:
+        phi, j = _factor(t)
+        powers[phi] = max(powers.get(phi, 0), j)
+    return powers
+
+
+def _condition(terms, rem):
+    """Cancellation bound of rem = sum_t amps_t * cofactor_t, with its warning.
+
+    sum_t |amps_t|_1 |cofactor_t|_1 / |rem|_inf, each cofactor's norm bounded
+    by prod |phi|_1**k / |phi_t|_1**j_t (the 1-norm is submultiplicative), so
+    no product is formed. By the triangle inequality it is at least 1; it is
+    1 when rem is zero.
     """
-    kind, idx = target
-    om = origin - j if kind == "origin" else origin
-    p = Polynomial((1,)).shift(om)
-    for i, (r, u) in enumerate(linears):
-        e = u - j if (kind == "lin" and i == idx) else u
-        for _ in range(e):
-            p = p * Polynomial((-r, 1))
-    for i, (a, b, k) in enumerate(quads):
-        e = k - j if (kind == "quad" and i == idx) else k
-        q = Polynomial((a * a + b * b, -2 * a, 1))
-        for _ in range(e):
-            p = p * q
-    return p
-
-
-def _condition(origin, linears, quads, q):
-    """Condition estimate of the float cofactor system, with its warning.
-
-    The columns are the cofactors of the terms in real_pfe's order, a
-    quadratic's z column before its constant column.
-    """
-    cols = []
-    for j in range(1, origin + 1):
-        cols.append(_cofactor(origin, linears, quads, ("origin", None), j))
-    for i, (_, u) in enumerate(linears):
-        for j in range(1, u + 1):
-            cols.append(_cofactor(origin, linears, quads, ("lin", i), j))
-    for i, (_, _, k) in enumerate(quads):
-        for j in range(1, k + 1):
-            base = _cofactor(origin, linears, quads, ("quad", i), j)
-            cols += [base.shift(1), base]
-    mat = np.array([[float(col.coeff(i)) for col in cols] for i in range(q)], dtype=float)
-    with np.errstate(all="ignore"):
-        condition = float(np.linalg.cond(mat))
+    powers = _factor_powers(terms)
+    norms = {phi: sum(map(abs, phi.coeffs)) for phi in powers}
+    total = 0.0
+    for t in terms:
+        phi_t, j = _factor(t)
+        bound = sum(map(abs, _amps(t)))
+        for phi, k in powers.items():
+            for _ in range(k - j if phi == phi_t else k):
+                bound *= norms[phi]  # saturates at inf, where ** would raise
+        total += bound
+    condition = max(1.0, total / rem.norm_inf) if rem.coeffs else 1.0
     if not math.isfinite(condition) or condition > COND_WARN:
         return condition, (
             f"ill-conditioned coefficient system (condition estimate {condition:.3g})",
@@ -233,8 +228,8 @@ def real_pfe(x, f):
     monic integer polynomial, so all of this runs on ints and each amplitude
     is rounded once. Terms come in factor order (origin,
     f.linears, f.quadratics, each by power), zeros kept. The condition
-    estimate of the float cofactor system is attached, with a warning above
-    1e12.
+    estimate bounds the cancellation when the terms are summed back to the
+    remainder (see _condition), with a warning above 1e12.
     """
     if _expand_error(x.den * f.scale, f) > _MATCH_RTOL:
         raise FactorizationError(
@@ -246,28 +241,25 @@ def real_pfe(x, f):
     else:
         poly_part, rem = Polynomial(()), x.num
 
-    origin, linears, quads = _shape_lists(f)
     q = x.den.degree
-    if origin + sum(u for _, u in linears) + 2 * sum(k for _, _, k in quads) != q:
+    if f.degree != q:
         raise FactorizationError("inconsistent factorization: degree mismatch")
 
     if q == 0:
         return RealPartialFraction(poly_part, (), 0.0, ())
 
-    condition, warnings = _condition(origin, linears, quads, q)
-
     # z = w/s: rem(z)/D(z) = s * num(w) / (t * den(w)), num and den integer
-    s = _common_den([r for r, _ in linears] + [v for a, b, _ in quads for v in (a, b)])
+    s = _common_den([g.r for g in f.linears] + [v for g in f.quadratics for v in (g.a, g.b)])
     t = _common_den(rem.coeffs)
     num = Polynomial([_scaled(c, t) * s ** (q - 1 - i) for i, c in enumerate(rem.coeffs)])
     # (term type, fields between the amplitudes and the power, w-factor, power)
-    local = [(Impulse, (), Polynomial((0, 1)), origin)] if origin else []
-    for r, u in linears:
-        local.append((RealPole, (r,), Polynomial((-_scaled(r, s), 1)), u))
-    for a, b, k in quads:
-        sa, sb = _scaled(a, s), _scaled(b, s)
-        local.append((QuadPole, (a, b), Polynomial((sa * sa + sb * sb, -2 * sa, 1)), k))
-    den = math.prod((phi**k for _, _, phi, k in local), start=Polynomial((1,)))
+    local = [(Impulse, (), Z, f.origin_mult)] if f.origin_mult else []
+    for g in f.linears:
+        local.append((RealPole, (g.r,), Polynomial((-_scaled(g.r, s), 1)), g.u))
+    for g in f.quadratics:
+        sa, sb = _scaled(g.a, s), _scaled(g.b, s)
+        local.append((QuadPole, (g.a, g.b), Polynomial((sa * sa + sb * sb, -2 * sa, 1)), g.k))
+    den = math.prod((phi**k for _, _, phi, k in local), start=ONE)
 
     terms = []
     for kind, fields, phi, k in local:
@@ -278,6 +270,7 @@ def real_pfe(x, f):
             # w**i/phi(w)**j = s**(i - deg*j) z**i/phi(z)**j, all times s/t
             amps = [d.coeff(i) / (c * t * s ** (deg * j - 1 - i)) for i in reversed(range(deg))]
             terms.append(kind(*amps, *fields, j))
+    condition, warnings = _condition(terms, rem)
     return RealPartialFraction(poly_part, tuple(terms), condition, warnings)
 
 
@@ -375,29 +368,23 @@ def recombine(pf):
     """Sum a real expansion back over the common denominator.
 
     Self-check oracle for real_pfe: the result must equal the source
-    rational function coefficient-wise after normalization.
+    rational function coefficient-wise after normalization. It multiplies
+    the terms' own factors out in floats, sharing nothing with real_pfe's
+    integer expansion.
     """
-    origin = max((t.index for t in pf.terms if isinstance(t, Impulse)), default=0)
-    lin_mult = {}
-    quad_mult = {}
-    for t in pf.terms:
-        if isinstance(t, RealPole):
-            lin_mult[t.pole] = max(lin_mult.get(t.pole, 0), t.mult)
-        elif isinstance(t, QuadPole):
-            quad_mult[(t.a, t.b)] = max(quad_mult.get((t.a, t.b), 0), t.mult)
-    linears = sorted(lin_mult.items())
-    quads = sorted((a, b, k) for (a, b), k in quad_mult.items())
+    powers = _factor_powers(pf.terms)
 
-    den = _cofactor(origin, linears, quads, ("none", None), 0)
+    def cofactor(target, j):
+        """Product of all factors, target's power lowered by j."""
+        return math.prod(
+            (phi ** (k - j if phi == target else k) for phi, k in powers.items()),
+            start=ONE,
+        )
+
+    den = cofactor(None, 0)
     num = pf.poly_part * den
     for t in pf.terms:
-        if isinstance(t, Impulse):
-            num = num + _cofactor(origin, linears, quads, ("origin", None), t.index) * t.amp
-        elif isinstance(t, RealPole):
-            i = next(i for i, (r, _) in enumerate(linears) if r == t.pole)
-            num = num + _cofactor(origin, linears, quads, ("lin", i), t.mult) * t.amp
-        else:
-            i = next(i for i, (a, b, _) in enumerate(quads) if (a, b) == (t.a, t.b))
-            base = _cofactor(origin, linears, quads, ("quad", i), t.mult)
-            num = num + base.shift(1) * t.z_amp + base * t.const_amp
+        base = cofactor(*_factor(t))
+        for i, amp in enumerate(reversed(_amps(t))):
+            num = num + base.shift(i) * amp
     return RationalFunction(num, den)

@@ -238,6 +238,5 @@ class Polynomial:
         return text
 
 
-ZERO = Polynomial(())
 ONE = Polynomial((1,))
 Z = Polynomial((0, 1))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from zinv.closedform import invert_expression
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
 from zinv.factorize import (
@@ -11,7 +12,9 @@ from zinv.factorize import (
     QuadraticFactor,
     factor_denominator,
 )
+from zinv.parser import parse_rational_expr
 from zinv.pfe import (
+    Impulse,
     QuadPole,
     RationalFunction,
     RealPole,
@@ -113,6 +116,16 @@ class TestRealPfe:
         assert pf.condition > 1e12
         assert any("ill-conditioned" in w for w in pf.warnings)
 
+    def test_far_apart_triple_poles_do_not_warn(self):
+        # amplitudes ~1e-16..1e-25 against poles 1e5 apart: the terms sum to
+        # the numerator without cancellation, so there is nothing to flag
+        text = "1/((z-123456.789)^3*(z-1e-5)^3)"
+        x, f = parse_rational_expr(text)
+        pf = real_pfe(x, f)
+        assert pf.condition < 2.0
+        assert pf.warnings == ()
+        assert invert_expression(text).warnings == ()
+
 
 class TestComplexPfeOverZ:
     def test_unit_quadratic(self):
@@ -176,6 +189,15 @@ class TestRecombine:
             0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),), 1
         )
         back = recombine(real_pfe(x, f))
+        assert poly_close(back.num, x.num, 1e-10)
+        assert poly_close(back.den, x.den, 1e-10)
+
+    def test_round_trip_with_origin_poles(self):
+        x, f = parse_rational_expr("(z^3+2)/(z^2*(z-0.5)^2*(z^2-z+0.5)^2)")
+        assert f.origin_mult == 2
+        pf = real_pfe(x, f)
+        assert sum(isinstance(t, Impulse) for t in pf.terms) == 2
+        back = recombine(pf)
         assert poly_close(back.num, x.num, 1e-10)
         assert poly_close(back.den, x.den, 1e-10)
 
