@@ -145,7 +145,7 @@ def _cluster(roots, tol_abs):
     return [(s / c, c) for s, c in clusters]
 
 
-def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TOL_REAL):
+def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER):
     """Group raw roots into origin / real / conjugate-pair factors.
 
     Roots within tol_cluster (relative to the largest root modulus) merge with
@@ -163,9 +163,9 @@ def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TO
     upper = []
     lower = []
     for z, m in merged:
-        if abs(z) <= tol_real:
+        if abs(z) <= DEFAULT_TOL_REAL:
             origin += m
-        elif abs(z.imag) <= tol_real * (1 + abs(z)):
+        elif abs(z.imag) <= DEFAULT_TOL_REAL * (1 + abs(z)):
             reals.append([z.real, m])
         elif z.imag > 0:
             upper.append((z, m))
@@ -181,7 +181,7 @@ def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER, tol_real=DEFAULT_TO
         else:
             dedup.append([r, m])
 
-    pair_tol = max(tol_cluster, tol_real) * scale * 4
+    pair_tol = max(tol_cluster, DEFAULT_TOL_REAL) * scale * 4
     quads = []
     lower = list(lower)
     for z, m in upper:
