@@ -21,26 +21,31 @@ Evaluation regroups each trig factor as
 r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
 with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
 is evaluated in exact integers with one correctly rounded final division, and
-non-integer data in floats. quad_seq0 takes each power by binary
-exponentiation (random access); eval_sequence tabulates n = 0..N from one
-running product (a+ib)^m per pole pair, shared by all its multiplicities and
-by s1. That is still this sum, not the denominator's recurrence: the
+non-integer data in floats. One formula body, _s0, evaluates a range of n:
+each j-th summand is one list pass, the passes are added from an int 0 in j
+order and one more pass divides, the operations of a value-by-value loop in
+its order. quad_seq0 runs it on one n with powers by binary exponentiation
+(random access); eval_sequence tabulates n = 0..N from one running product
+(a+ib)^m per pole pair, shared by all its multiplicities and by s1, CHUNK
+values of n at a time so exact integer powers never fill an O(N^2)-bit
+table. That is still this sum, not the denominator's recurrence: the
 recurrence is the long-division oracle, which must stay independent. A term
-value that is not a finite float raises OverflowError, for int and float data
-alike. The supports are gated explicitly: without the gates the k=1 formula
-is nonzero at small n where the true sequence must vanish.
+value that is not a finite float raises OverflowError at its n, for int and
+float data alike. The supports are gated explicitly: without the gates the
+k=1 formula is nonzero at small n where the true sequence must vanish.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .factorize import factor_denominator
 from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
 
 DROP_TOL = 1e-12
+CHUNK = 1024  # n values per column pass of the quadratic-pole table
 
 
 @dataclass(frozen=True)
@@ -90,25 +95,42 @@ def _pair(a, b, k):
     return float(a), float(b)
 
 
-def _s0(a, b, k, n, im_pow):
-    """s0[n] for a +/- ib from _pair, given im_pow(m) = Im((a+ib)**m).
+def _s0(a, b, k, ns, im, off):
+    """[s0[n] for n in ns] for a +/- ib from _pair; None if one is not a finite float.
 
-    Raises OverflowError when the value is not a finite float.
+    im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. Each
+    summand is one pass over ns, added to totals that start from int 0 in j
+    order, so int data gives exact integer totals and one correctly rounded
+    division, and float data the same float operations in the same order.
     """
-    if n < 2 * k:
-        return 0.0
+    lo = min(max(ns.start, 2 * k), ns.stop)
+    zeros = [0.0] * (lo - ns.start)
+    if lo == ns.stop:
+        return zeros
     s2 = a * a + b * b
-    total = 0
+    totals = [0] * (ns.stop - lo)
     for j in range(k):
-        c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
-        total += (-1) ** j * c * im_pow(n - 2 * j - 1) * s2**j
+        sj, p, m0 = (-1) ** j, s2**j, lo - 2 * j - 1 - off
+        c1 = map(math.comb, range(lo - 1, ns.stop - 1), repeat(j))
+        c2 = map(math.comb, range(lo - k - 1 - j, ns.stop - k - 1 - j), repeat(k - 1 - j))
+        ims = im[m0 : m0 + len(totals)]
+        totals = [t + sj * u * v * x * p for t, u, v, x in zip(totals, c1, c2, ims)]
     try:
-        value = 2 * (-1) ** (k - 1) * total / (2 * b) ** (2 * k - 1)
-        if math.isfinite(value):
-            return value
+        sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
+        vals = [sign * t / den for t in totals]
+        if all(map(math.isfinite, vals)):
+            return zeros + vals
     except OverflowError:
         pass
-    raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
+    return None
+
+
+def _s0_at(a, b, k, n, im, off):
+    """s0[n] alone, im and off as for _s0; OverflowError if not a finite float."""
+    vals = _s0(a, b, k, range(n, n + 1), im, off)
+    if vals is None:
+        raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
+    return vals[0]
 
 
 def quad_seq0(a, b, k, n):
@@ -117,7 +139,8 @@ def quad_seq0(a, b, k, n):
     Zero for n < 2k. Integer-valued (a, b) are evaluated exactly.
     """
     a, b = _pair(a, b, k)
-    return _s0(a, b, k, n, lambda m: _gauss_pow(a, b, m)[1])
+    off = max(0, n - 2 * k + 1)
+    return _s0_at(a, b, k, n, [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)
 
 
 def quad_seq1(a, b, k, n):
@@ -128,20 +151,46 @@ def quad_seq1(a, b, k, n):
 def _quad_columns(a, b, lengths):
     """{k: [quad_seq0(a, b, k, n) for n < lengths[k]]} from one running product.
 
-    Only the last 2K-1 values Im((a+ib)**m) are kept, K = max k: exact integer
-    powers grow without bound, so a full table would cost O(N^2) bits.
+    n is taken CHUNK values at a time, keeping the last 2K-1 powers of the
+    chunk before, K = max k: exact integer powers grow without bound, so a
+    full table would cost O(N^2) bits. The first value that is not a finite
+    float stops the pair, as in an n-by-n, k-by-k walk.
     """
     a, b = _pair(a, b, max(lengths))
-    window = deque(maxlen=2 * max(lengths) - 1)  # m = n-2K+1..n-1
+    keep = 2 * max(lengths) - 1
     cols = {k: [] for k in lengths}
-    re, im = 1, 0
-    for n in range(max(lengths.values())):
+    im = [0] * keep  # Im((a+ib)**m) for m = n0-keep..; the m < 0 are never read
+    re, cur = 1, 0
+    n_end = max(lengths.values())
+    for n0 in range(0, n_end, CHUNK):
+        n1 = min(n0 + CHUNK, n_end)
+        for _ in range(n0, n1):
+            im.append(cur)
+            re, cur = re * a - cur * b, re * b + cur * a
+        off = n0 - keep
+        part = {k: _s0(a, b, k, range(n0, max(n0, min(n1, lengths[k]))), im, off) for k in cols}
+        if None in part.values():
+            for n in range(n0, n1):  # raise at the first failing n
+                for k in cols:
+                    if n < lengths[k]:
+                        _s0_at(a, b, k, n, im, off)
         for k, col in cols.items():
-            if n < lengths[k]:
-                col.append(_s0(a, b, k, n, lambda m: window[m - n]))
-        window.append(im)
-        re, im = re * a - im * b, re * b + im * a
+            col += part[k]
+        im = im[-keep:]
     return cols
+
+
+def _real_pole_col(amp, pole, k, ns):
+    """[real_pole_seq(amp, pole, k, n) for n in ns]; None if one is not a finite float."""
+    lo = min(max(ns.start, k), ns.stop)
+    cs = map(math.comb, range(lo - 1, ns.stop - 1), repeat(k - 1))
+    try:
+        vals = [amp * c * pole**e for c, e in zip(cs, range(lo - k, ns.stop - k))]
+        if all(map(math.isfinite, vals)):
+            return [0.0] * (lo - ns.start) + vals
+    except OverflowError:
+        pass
+    return None
 
 
 def real_pole_seq(amp, pole, k, n):
@@ -150,15 +199,10 @@ def real_pole_seq(amp, pole, k, n):
         raise ValueError("origin pole must be an impulse")
     if k < 1:
         raise ValueError("multiplicity must be >= 1")
-    if n < k:
-        return 0.0
-    try:
-        value = amp * math.comb(n - 1, k - 1) * pole ** (n - k)
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise OverflowError(f"real-pole sequence overflows a float at n={n}")
+    vals = _real_pole_col(amp, pole, k, range(n, n + 1))
+    if vals is None:
+        raise OverflowError(f"real-pole sequence overflows a float at n={n}")
+    return vals[0]
 
 
 def _column(term, n_max, s0):
@@ -167,7 +211,10 @@ def _column(term, n_max, s0):
     if isinstance(term, Impulse):
         return [term.amp if n == term.index else 0.0 for n in ns]
     if isinstance(term, RealPole):
-        return [real_pole_seq(term.amp, term.pole, term.mult, n) for n in ns]
+        col = _real_pole_col(term.amp, term.pole, term.mult, ns)
+        if col is None:  # the per-n values raise at the first one not finite
+            col = [real_pole_seq(term.amp, term.pole, term.mult, n) for n in ns]
+        return col
     if isinstance(term, QuadPole):
         base = s0[term.a, term.b][term.mult]
         col = [0.0] * (n_max + 1)

@@ -182,20 +182,24 @@ def juric_series(x, n_max, poles=None):
 def residue_value(x, n, poles=None):
     """x[n] as the sum of residues of X(z) z^(n-1) over the poles of X.
 
-    For a pole of multiplicity m the residue is the (m-1)-th derivative of
-    (z - z_k)^m X(z) z^(n-1) at z_k over (m-1)!: A_1 of _limit_coeffs on the
-    deflated rational. n = 0 is excluded: z^(n-1) would add a pole at the
-    origin outside X's pole set. poles is OraclePoles(x).of_x(), computed
-    here when None; a constant denominator has none, and the sum is 0.
+    At a pole z_k of multiplicity m, X has principal part sum_j A_j/(z-z_k)^j
+    (_limit_coeffs on the deflated denominator, the same for every n), and
+    the residue is sum_l A_(l+1) C(n-1, l) z_k^(n-1-l) over l < min(m, n):
+    the terms with l > n-1 vanish and are skipped, as z_k = 0 would divide by
+    zero there. So a value's cost barely grows with n. n = 0 is excluded:
+    z^(n-1) would add a pole at the origin outside X's pole set. poles is
+    OraclePoles(x).of_x(), computed here when None; a constant denominator
+    has none, and the sum is 0.
     """
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
     if poles is None:
         poles = OraclePoles(x).of_x()
-    shifted = x.num.shift(n - 1)
     total = 0j
     for zk, m in poles:
-        total += _limit_coeffs(shifted, _deflate(x.den, zk, m), zk, m)[1]
+        coeffs = _limit_coeffs(x.num, _deflate(x.den, zk, m), zk, m)
+        for l in range(min(m, n)):
+            total += coeffs[l + 1] * math.comb(n - 1, l) * zk ** (n - 1 - l)
     return _discard_imag(total, "residue")
 
 

@@ -89,6 +89,23 @@ class TestTable:
         err = capsys.readouterr().err
         assert err == "error: real-pole sequence overflows a float at n=1089\n"
 
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("1/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=686"),
+            ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=664"),
+            # the first pair in term order that overflows names n, not the earliest n
+            ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=686"),
+            ("1/(z-1.9)^3", "real-pole sequence overflows a float at n=1089"),
+            # the unit-modulus pair never overflows; the second pair does
+            ("1/((z^2+1)^3 (z^2-2z+2)^2)", "quadratic-pole sequence overflows a float at n=2033"),
+        ],
+    )
+    def test_overflow_first_n_on_a_long_table(self, expr, message, capsys):
+        assert main(["table", expr, "--n", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_all_methods_factor_once(self, factor_calls, capsys):
         # factored input: the closed form needs no factoring, and moreira
         # and juric share one pole list

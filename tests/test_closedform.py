@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -329,6 +330,86 @@ class TestTablePath:
             eval_sequence(e, 2200)
         with pytest.raises(OverflowError, match="overflows a float"):
             quad_seq0(t.a, t.b, t.mult, 2200)
+
+
+def _s0_per_n(a, b, k, n, im_pow):
+    """s0[n] value by value: the formula body the column passes replaced."""
+    if n < 2 * k:
+        return 0.0
+    s2 = a * a + b * b
+    total = 0
+    for j in range(k):
+        c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
+        total += (-1) ** j * c * im_pow(n - 2 * j - 1) * s2**j
+    return 2 * (-1) ** (k - 1) * total / (2 * b) ** (2 * k - 1)
+
+
+def _table_per_n(expr, n_max):
+    """Reference for eval_sequence's values: for each pole pair one running
+    product walked n by n, keeping the last 2K-1 imaginary parts, and s0[n]
+    from _s0_per_n; term values added in term order."""
+    mults = {}
+    for t in expr.terms:
+        if isinstance(t, QuadPole):
+            mults.setdefault((t.a, t.b), set()).add(t.mult)
+    s0 = {}
+    for (a, b), ks in mults.items():
+        if a == int(a) and b == int(b):
+            a, b = int(a), int(b)
+        window = deque(maxlen=2 * max(ks) - 1)
+        cols = s0[a, b] = {k: [] for k in ks}
+        re, im = 1, 0
+        for n in range(n_max + 2):
+            for k, col in cols.items():
+                col.append(_s0_per_n(a, b, k, n, lambda m: window[m - n]))
+            window.append(im)
+            re, im = re * a - im * b, re * b + im * a
+
+    def value(t, n):
+        if isinstance(t, Impulse):
+            return t.amp if n == t.index else 0.0
+        v = 0.0
+        base = s0[t.a, t.b][t.mult]
+        if t.z_amp:
+            v = v + t.z_amp * base[n + 1]
+        if t.const_amp:
+            v = v + t.const_amp * base[n]
+        return v
+
+    return tuple(sum(value(t, n) for t in expr.terms) for n in range(n_max + 1))
+
+
+class TestColumnTable:
+    """eval_sequence's column passes against the n-by-n table, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "a,b,n_max",
+        [
+            (0, 1, 2000), (1, 1, 400), (1, 2, 300),  # int data
+            (0.6, 0.8, 2000), (-0.93, 0.41, 2000), (0.3, 1.01, 600),  # float data
+        ],
+    )
+    def test_one_pair_every_multiplicity(self, a, b, n_max, k):
+        expr = _expansion(random.Random(f"{a},{b},{k}"), [(a, b, k)], ())
+        for n in (0, 1, 2 * k - 1, 2 * k, 2 * k + 1, n_max):
+            assert eval_sequence(expr, n).values == _table_per_n(expr, n)
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (0.6, 0.8)])
+    def test_one_sided_numerators(self, a, b):
+        for k in (1, 2, 3, 4):
+            for z_amp, const_amp in ((1.5, 0.0), (0.0, -0.7)):
+                terms = tuple(QuadPole(z_amp, const_amp, a, b, j) for j in range(1, k + 1))
+                expr = ClosedFormExpr(terms, None)
+                for n_max in (0, 2 * k - 1, 2 * k, 333):
+                    assert eval_sequence(expr, n_max).values == _table_per_n(expr, n_max)
+
+    def test_several_pairs(self):
+        rng = random.Random(9)
+        pairs = [(0, 1, 3), (1, 1, 2), (0.6, 0.8, 4), (-0.2, 0.97, 2), (0.9, 0.45, 1)]
+        for n_max in (0, 5, 9, 1023, 1024, 1025, 2000):  # around closedform.CHUNK = 1024
+            expr = _expansion(rng, pairs, ())
+            assert eval_sequence(expr, n_max).values == _table_per_n(expr, n_max)
 
 
 class TestEvalInvariants:

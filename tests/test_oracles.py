@@ -173,6 +173,19 @@ class TestResidue:
         assert residue_value(x, 3) == pytest.approx(0.0, abs=1e-15)
 
 
+    def test_origin_pole_terms_past_n_skipped(self):
+        # 1/z^3 at n = 1, 2: C(n-1, l) = 0 for l > n-1, where 0^(n-1-l)
+        # would divide by zero
+        x = rf([1], [0, 0, 0, 1])
+        assert [residue_value(x, n) for n in (1, 2, 3, 4)] == [0.0, 0.0, 1.0, 0.0]
+
+    def test_repeated_pole_at_high_index(self):
+        # 1/(z-0.5)^3 with exact poles: x[n] = C(n-1, 2) 0.5^(n-3)
+        x = rf([1], [-0.125, 0.75, -1.5, 1])
+        for n in (1, 2, 3, 50, 1000):
+            want = math.comb(n - 1, 2) * 0.5 ** (n - 3)
+            assert residue_value(x, n, poles=((0.5 + 0j, 3),)) == pytest.approx(want, rel=1e-12)
+
 class TestCompareMethods:
     def test_unit_quadratic_tight(self):
         report = compare_methods(rf([1], [1, 0, 1]), n_max=20, tol=1e-10)
