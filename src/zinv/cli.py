@@ -1,5 +1,9 @@
 """Command-line interface: invert, tabulate, cross-compare, identity sweeps.
 
+Each cmd_* builds the JSON documents it prints, one per input (one for a
+whole --fuzz run or identity sweep), and returns them with the function that
+prints one as text or CSV; main prints the JSON and picks the exit code.
+
 Exit codes: 0 success, 1 numerical comparison failure (or runtime numeric
 error), 2 usage/parse error.
 """
@@ -9,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import random
@@ -41,16 +44,16 @@ def _fail(msg):
 
 
 def _inputs(args):
-    """(label, expression) pairs from the positional arg or a batch file."""
+    """The expressions to run: the positional arg, or each one in a batch file."""
     if args.batch:
         with open(args.batch, "r", encoding="utf-8") as fh:
             entries = batch_expressions(fh.read())
         if not entries:
             raise ParseError(f"batch file {args.batch!r} contains no expressions")
-        return [(f"{args.batch}:{lineno}", text) for lineno, text in entries]
+        return [text for _, text in entries]
     if not args.expression:
         raise ParseError("an expression (or --batch FILE) is required")
-    return [("arg", args.expression)]
+    return [args.expression]
 
 
 def _term_dict(t):
@@ -60,24 +63,14 @@ def _term_dict(t):
 
 def _poly_part_coeffs(expr):
     mono = {-t.index: t.amp for t in expr.terms if isinstance(t, Impulse) and t.index <= 0}
-    if not mono:
-        return []
-    out = [0.0] * (max(mono) + 1)
-    for k, amp in mono.items():
-        out[k] = amp
-    return out
+    return [mono.get(k, 0.0) for k in range(max(mono, default=-1) + 1)]
 
 
 def cmd_invert(args):
-    if args.format == "csv":
-        _fail("csv output is not defined for 'invert'; use text or json")
-        return 2
-    results = []
-    for label, text in _inputs(args):
+    docs = []
+    for text in _inputs(args):
         expr = invert_expression(text, drop_tol=args.tol)
-        results.append((label, text, expr))
-    if args.format == "json":
-        payload = [
+        docs.append(
             {
                 "input": text,
                 "poly_part": _poly_part_coeffs(expr),
@@ -85,68 +78,56 @@ def cmd_invert(args):
                 "warnings": list(expr.warnings),
                 "formula": render(expr),
             }
-            for _, text, expr in results
-        ]
-        print(json.dumps(payload[0] if not args.batch else payload, indent=2))
-    else:
-        for _, text, expr in results:
-            for w in expr.warnings:
-                print(f"warning: {w}", file=sys.stderr)
-            if args.batch:
-                print(f"{text} -> {render(expr)}")
-            else:
-                print(render(expr))
-    return 0
+        )
+    return docs, _print_invert
+
+
+def _print_invert(args, doc):
+    for w in doc["warnings"]:
+        print(f"warning: {w}", file=sys.stderr)
+    print(f"{doc['input']} -> {doc['formula']}" if args.batch else doc["formula"])
 
 
 def cmd_table(args):
-    rows_by_input = []
-    for label, text in _inputs(args):
+    methods = tuple(SERIES_METHODS) if args.method == "all" else (args.method,)
+    docs = []
+    for text in _inputs(args):
         x, factored = parse_rational_expr(text)
         poles = OraclePoles(x)
-        header = ["n", "x"]
-        if args.method == "all":
-            cols = [series(x, args.n, factored, poles) for series in SERIES_METHODS.values()]
-            rows = [[n, *(col[n] for col in cols)] for n in range(args.n + 1)]
-            header = ["n", *SERIES_METHODS]
-        elif args.method == "residue":
+        if args.method == "residue":
             # residue excludes n = 0 by contract; the table starts at n = 1
             print("note: residue method starts at n=1 (n=0 is out of its domain)", file=sys.stderr)
-            rows = [[n, residue_value(x, n, poles=poles.of_x())] for n in range(1, args.n + 1)]
+            ns = range(1, args.n + 1)
+            cols = [[residue_value(x, n, poles=poles.of_x()) for n in ns]]
         else:
-            vals = SERIES_METHODS[args.method](x, args.n, factored, poles)
-            rows = [[n, v] for n, v in enumerate(vals)]
-        rows_by_input.append((text, header, rows))
-
-    if args.format == "json":
-        payload = [
+            ns = range(args.n + 1)
+            cols = [SERIES_METHODS[m](x, args.n, factored, poles) for m in methods]
+        docs.append(
             {
                 "input": text,
                 "method": args.method,
                 "n_max": args.n,
-                "columns": header,
-                "values": [row[1:] if len(header) > 2 else row[1] for row in rows],
-                "n_start": rows[0][0] if rows else 0,
+                "columns": ["n", *methods] if len(cols) > 1 else ["n", "x"],
+                "values": list(map(list, zip(*cols))) if len(cols) > 1 else cols[0],
+                "n_start": ns[0] if ns else 0,
             }
-            for text, header, rows in rows_by_input
-        ]
-        print(json.dumps(payload[0] if not args.batch else payload, indent=2))
-        return 0
+        )
+    return docs, _print_table
+
+
+def _print_table(args, doc):
+    # values[i] is x[n_start + i]: one number, or a row of one per method
+    multi = len(doc["columns"]) > 2
+    rows = [[n, *(v if multi else [v])] for n, v in enumerate(doc["values"], doc["n_start"])]
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        for text, header, rows in rows_by_input:
-            writer.writerow(header)
-            writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
-        return 0
-    for text, header, rows in rows_by_input:
-        if args.batch:
-            print(f"# {text}")
-        for row in rows:
-            cells = [str(row[0])] + [f"{v:.12g}" for v in row[1:]]
-            print(" ".join(cells))
-    return 0
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(doc["columns"])
+        writer.writerows(rows)
+        return
+    if args.batch:
+        print(f"# {doc['input']}")
+    for n, *vals in rows:
+        print(" ".join([str(n), *(f"{v:.12g}" for v in vals)]))
 
 
 def _report_dict(text, report):
@@ -157,16 +138,10 @@ def _report_dict(text, report):
         "scale": report.scale,
         "passed": report.passed,
         "methods": {
-            name: {
-                "ok": run.values is not None,
-                "seconds": run.seconds,
-                "error": run.error,
-            }
+            name: {"ok": run.values is not None, "seconds": run.seconds, "error": run.error}
             for name, run in report.methods.items()
         },
-        "pairs": [
-            {"a": a, "b": b, "max_dev": dev} for a, b, dev in report.pairs
-        ],
+        "pairs": [{"a": a, "b": b, "max_dev": dev} for a, b, dev in report.pairs],
         "residue_checks": [
             {"n": n, "value": val, "deviation": dev, "error": err}
             for n, val, dev, err in report.residue_checks
@@ -174,177 +149,141 @@ def _report_dict(text, report):
     }
 
 
-def _print_report(text, report):
-    print(f"input: {text}")
-    for name, run in report.methods.items():
-        status = "ok" if run.values is not None else f"error: {run.error}"
-        print(f"  {name:<9} {run.seconds * 1e3:8.2f} ms  {status}")
-    bound = report.tolerance * report.scale
+def _print_report(args, doc):
+    print(f"input: {doc['input']}")
+    for name, run in doc["methods"].items():
+        status = "ok" if run["ok"] else f"error: {run['error']}"
+        print(f"  {name:<9} {run['seconds'] * 1e3:8.2f} ms  {status}")
+    bound = doc["tolerance"] * doc["scale"]
     print(f"  pairwise max |dev| (bound {bound:.3g}):")
-    for a, b, dev in report.pairs:
-        mark = "PASS" if within_bound(dev, bound) else "FAIL"
-        print(f"    {a:<9} vs {b:<9} {dev:.3g}  {mark}")
-    for n, val, dev, err in report.residue_checks:
-        if err is not None:
-            print(f"    residue n={n}: error: {err}")
+    for pair in doc["pairs"]:
+        mark = "PASS" if within_bound(pair["max_dev"], bound) else "FAIL"
+        print(f"    {pair['a']:<9} vs {pair['b']:<9} {pair['max_dev']:.3g}  {mark}")
+    for check in doc["residue_checks"]:
+        if check["error"] is not None:
+            print(f"    residue n={check['n']}: error: {check['error']}")
         else:
-            mark = "PASS" if within_bound(dev, bound) else "FAIL"
-            print(f"    residue n={n}: dev {dev:.3g}  {mark}")
-    print("PASS" if report.passed else "FAIL")
+            mark = "PASS" if within_bound(check["deviation"], bound) else "FAIL"
+            print(f"    residue n={check['n']}: dev {check['deviation']:.3g}  {mark}")
+    print("PASS" if doc["passed"] else "FAIL")
 
 
 def cmd_compare(args):
     if args.fuzz is not None:
-        return _compare_fuzz(args)
-    payloads = []
-    all_pass = True
-    for label, text in _inputs(args):
+        return [_fuzz_doc(args)], _print_fuzz
+    docs = []
+    for text in _inputs(args):
         x, factored = parse_rational_expr(text)
         report = compare_methods(x, n_max=args.n, tol=args.tol, factored=factored)
-        all_pass = all_pass and report.passed
-        payloads.append((text, report))
-    if args.format == "json":
-        objs = [_report_dict(text, rep) for text, rep in payloads]
-        print(json.dumps(objs[0] if not args.batch else objs, indent=2))
-    else:
-        for text, rep in payloads:
-            _print_report(text, rep)
-    return 0 if all_pass else 1
+        docs.append(_report_dict(text, report))
+    return docs, _print_report
 
 
-def _compare_fuzz(args):
+def _fuzz_doc(args):
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
-    worst = 0.0
-    worst_case = None
-    failures = []
+    worst, worst_case, failures = 0.0, None, []
     for i in range(args.fuzz):
         x, factored = random_rational(rng)
         report = compare_methods(x, n_max=args.n, tol=args.tol, factored=factored)
         dev = report.worst_pair_deviation() / max(report.scale, 1.0)
+        case = {"index": i, "input": str(x)}
         if dev > worst:
-            worst, worst_case = dev, (i, str(x))
+            worst, worst_case = dev, case
         if not report.passed:
-            failures.append((i, str(x)))
-    elapsed = time.perf_counter() - t0
-    summary = {
+            failures.append(case)
+    return {
         "cases": args.fuzz,
         "seed": args.seed,
         "n_max": args.n,
         "tolerance": args.tol,
         "worst_scaled_deviation": worst,
-        "worst_case": None if worst_case is None else {"index": worst_case[0], "input": worst_case[1]},
-        "failures": [{"index": i, "input": s} for i, s in failures],
-        "seconds": elapsed,
+        "worst_case": worst_case,
+        "failures": failures,
+        "seconds": time.perf_counter() - t0,
         "passed": not failures,
     }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(
-            f"fuzz: {args.fuzz} cases, seed {args.seed}, n_max {args.n}, "
-            f"tol {args.tol:g} ({elapsed:.2f} s)"
-        )
-        if worst_case is not None:
-            print(f"worst scaled deviation: {worst:.3g} (case {worst_case[0]})")
-        print(f"failures: {len(failures)}")
-        for i, s in failures[:10]:
-            print(f"  case {i}: {s}")
-        print("PASS" if not failures else "FAIL")
-    return 0 if not failures else 1
+
+
+def _print_fuzz(args, doc):
+    print(
+        f"fuzz: {doc['cases']} cases, seed {doc['seed']}, n_max {doc['n_max']}, "
+        f"tol {doc['tolerance']:g} ({doc['seconds']:.2f} s)"
+    )
+    if doc["worst_case"] is not None:
+        worst = doc["worst_scaled_deviation"]
+        print(f"worst scaled deviation: {worst:.3g} (case {doc['worst_case']['index']})")
+    print(f"failures: {len(doc['failures'])}")
+    for case in doc["failures"][:10]:
+        print(f"  case {case['index']}: {case['input']}")
+    print("PASS" if doc["passed"] else "FAIL")
+
+
+def _convolution_devs():
+    """[a, b, k, n, |convolution - closed form|] over the sweep grid."""
+    for a, b in CONV_GRID_AB:
+        for k in range(1, 5):
+            series = pair_convolution_series(a, b, k, 40).values
+            for n in range(41):
+                yield [a, b, k, n, abs(series[n] - quad_seq0(a, b, k, n))]
 
 
 def cmd_identities(args):
-    sum_fail = []
-    sum_cases = 0
-    for k in range(1, 7):
-        for j in range(k):
-            for n in range(41):
-                sum_cases += 1
-                if not internal_summation_holds(k, j, n):
-                    sum_fail.append((k, j, n))
+    sums = [[k, j, n] for k in range(1, 7) for j in range(k) for n in range(41)]
+    surj = [[sigma, p] for sigma in range(1, 11) for p in range(sigma)]
+    conv = list(_convolution_devs())
+    binom = [[nu, kappa] for nu in range(31) for kappa in range(nu + 1)]
+    doc = {
+        "internal_summation": {
+            "cases": len(sums),
+            "failures": [c for c in sums if not internal_summation_holds(*c)],
+        },
+        "surjection": {
+            "cases": len(surj),
+            "failures": [c for c in surj if surjection_count(*c) != 0],
+            "spot_failures": [
+                s for s in range(1, 11) if surjection_count(s, s) != math.factorial(s)
+            ],
+        },
+        "convolution_vs_closed_form": {
+            "cases": len(conv),
+            "max_dev": max([0.0, *(c[-1] for c in conv)]),
+            "tolerance": args.tol,
+            "failures": [c for c in conv if c[-1] > args.tol],
+        },
+        "binomial_consistency": {
+            "failures": [c for c in binom if binomial_general(*c) != math.comb(*c)]
+        },
+    }
+    doc["passed"] = not any(
+        part.get("failures") or part.get("spot_failures") for part in doc.values()
+    )
+    return [doc], _print_identities
 
-    surj_fail = []
-    surj_cases = 0
-    for sigma in range(1, 11):
-        for p in range(sigma):
-            surj_cases += 1
-            if surjection_count(sigma, p) != 0:
-                surj_fail.append((sigma, p))
-    spot_fail = []
-    for sigma in range(1, 11):
-        if surjection_count(sigma, sigma) != math.factorial(sigma):
-            spot_fail.append(sigma)
 
-    conv_dev = 0.0
-    conv_cases = 0
-    conv_fail = []
-    for a, b in CONV_GRID_AB:
-        for k in range(1, 5):
-            series = pair_convolution_series(a, b, k, 40)
-            for n in range(41):
-                conv_cases += 1
-                dev = abs(series.values[n] - quad_seq0(a, b, k, n))
-                conv_dev = max(conv_dev, dev)
-                if dev > args.tol:
-                    conv_fail.append((a, b, k, n, dev))
-
-    binom_fail = []
-    for nu in range(0, 31):
-        for kappa in range(0, nu + 1):
-            if binomial_general(nu, kappa) != math.comb(nu, kappa):
-                binom_fail.append((nu, kappa))
-
-    passed = not (sum_fail or surj_fail or spot_fail or conv_fail or binom_fail)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "internal_summation": {
-                        "cases": sum_cases,
-                        "failures": [list(f) for f in sum_fail],
-                    },
-                    "surjection": {
-                        "cases": surj_cases,
-                        "failures": [list(f) for f in surj_fail],
-                        "spot_failures": spot_fail,
-                    },
-                    "convolution_vs_closed_form": {
-                        "cases": conv_cases,
-                        "max_dev": conv_dev,
-                        "tolerance": args.tol,
-                        "failures": [list(f) for f in conv_fail],
-                    },
-                    "binomial_consistency": {
-                        "failures": [list(f) for f in binom_fail]
-                    },
-                    "passed": passed,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"internal_summation: {len(sum_fail)} failures "
-            f"(k<=6, j<k, n<=40; {sum_cases} cases)"
-        )
-        for k, j, n in sum_fail[:5]:
-            print(f"  counterexample: k={k} j={j} n={n}")
-        print(
-            f"surjection: {len(surj_fail)} failures (sigma<=10, p<=sigma-1; "
-            f"{surj_cases} cases); p=sigma spot checks: {len(spot_fail)} failures"
-        )
-        for sigma, p in surj_fail[:5]:
-            print(f"  counterexample: sigma={sigma} p={p}")
-        print(
-            f"convolution_vs_closed_form: max dev {conv_dev:.3g} over "
-            f"{conv_cases} cases (tol {args.tol:g})"
-        )
-        for a, b, k, n, dev in conv_fail[:5]:
-            print(f"  counterexample: a={a} b={b} k={k} n={n} dev={dev:.3g}")
-        print(f"binomial_consistency: {len(binom_fail)} failures (nu<=30)")
-        print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+def _print_identities(args, doc):
+    sums, surj = doc["internal_summation"], doc["surjection"]
+    conv, binom = doc["convolution_vs_closed_form"], doc["binomial_consistency"]
+    print(
+        f"internal_summation: {len(sums['failures'])} failures "
+        f"(k<=6, j<k, n<=40; {sums['cases']} cases)"
+    )
+    for k, j, n in sums["failures"][:5]:
+        print(f"  counterexample: k={k} j={j} n={n}")
+    print(
+        f"surjection: {len(surj['failures'])} failures (sigma<=10, p<=sigma-1; "
+        f"{surj['cases']} cases); p=sigma spot checks: {len(surj['spot_failures'])} failures"
+    )
+    for sigma, p in surj["failures"][:5]:
+        print(f"  counterexample: sigma={sigma} p={p}")
+    print(
+        f"convolution_vs_closed_form: max dev {conv['max_dev']:.3g} over "
+        f"{conv['cases']} cases (tol {conv['tolerance']:g})"
+    )
+    for a, b, k, n, dev in conv["failures"][:5]:
+        print(f"  counterexample: a={a} b={b} k={k} n={n} dev={dev:.3g}")
+    print(f"binomial_consistency: {len(binom['failures'])} failures (nu<=30)")
+    print("PASS" if doc["passed"] else "FAIL")
 
 
 def _build():
@@ -359,7 +298,9 @@ def _build():
     def common(p, expr=True):
         if expr:
             p.add_argument("expression", nargs="?", help="rational expression in z")
-            p.add_argument("--batch", metavar="FILE", help="file with one expression per line ('#' comments)")
+            p.add_argument(
+                "--batch", metavar="FILE", help="file with one expression per line ('#' comments)"
+            )
         p.add_argument(
             "--format",
             choices=("text", "json", "csv"),
@@ -390,43 +331,70 @@ def _build():
     p = sub.add_parser("compare", help="cross-validate all methods")
     common(p)
     p.add_argument("--n", type=int, default=DEFAULT_N, help=f"largest index (default {DEFAULT_N})")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"scaled tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--fuzz", type=int, metavar="N", help="compare N random rationals instead of an expression")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"fuzz seed (default {DEFAULT_SEED})")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help=f"scaled tolerance (default {DEFAULT_TOL:g})",
+    )
+    p.add_argument(
+        "--fuzz", type=int, metavar="N", help="compare N random rationals instead of an expression"
+    )
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help=f"fuzz seed (default {DEFAULT_SEED})"
+    )
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("identities", help="run the exact identity sweeps")
     common(p, expr=False)
-    p.add_argument("--tol", type=float, default=1e-9, help="convolution sweep tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=float, default=1e-9, help="convolution sweep tolerance (default 1e-9)"
+    )
     p.set_defaults(func=cmd_identities)
 
     return top
 
 
+def _usage_error(args):
+    """The message for the first usage rule that args break, or None."""
+    cmd = args.command
+    if "n" in args and args.n < 0:
+        return "--n must be >= 0"
+    if "tol" in args and not math.isfinite(args.tol):
+        return "--tol must be finite"
+    if "tol" in args and (args.tol < 0 or (args.tol == 0 and cmd != "invert")):
+        # invert's tol is a drop ratio, where 0 is valid; the others are pass bounds
+        return "--tol must be >= 0" if cmd == "invert" else "--tol must be > 0"
+    if "fuzz" in args and args.fuzz is not None:
+        if args.fuzz < 1:
+            return "--fuzz must be >= 1"
+        if args.expression is not None or args.batch is not None:
+            return "--fuzz takes no expression or --batch"
+    if args.format == "csv" and cmd != "table":
+        return f"csv output is not defined for {cmd!r}; use text or json"
+    return None
+
+
 def main(argv=None):
     args = _build().parse_args(argv)
+    usage = _usage_error(args)
+    if usage is not None:
+        _fail(usage)
+        return 2
     try:
-        if args.command in ("table", "compare") and args.n < 0:
-            _fail("--n must be >= 0")
-            return 2
-        if args.command == "compare" and args.tol <= 0:
-            _fail("--tol must be > 0")
-            return 2
-        if args.command == "compare" and args.fuzz is not None and args.fuzz < 1:
-            _fail("--fuzz must be >= 1")
-            return 2
-        if args.command == "compare" and args.fuzz is not None and (
-            args.expression is not None or args.batch is not None
-        ):
-            _fail("--fuzz takes no expression or --batch")
-            return 2
-        return args.func(args)
+        docs, show = args.func(args)
+        # JSON: the one document, or the list of them under --batch
+        if args.format == "json":
+            print(json.dumps(docs if "batch" in args and args.batch else docs[0], indent=2))
+        else:
+            for doc in docs:
+                show(args, doc)
     except (ParseError, FileNotFoundError) as exc:
         _fail(str(exc))
         return 2
     except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:
         _fail(str(exc))
         return 1
+    # invert and table documents carry no verdict
+    return 0 if all(doc.get("passed", True) for doc in docs) else 1
 
 
 if __name__ == "__main__":

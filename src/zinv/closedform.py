@@ -31,8 +31,9 @@ values of n at a time so exact integer powers never fill an O(N^2)-bit
 table. That is still this sum, not the denominator's recurrence: the
 recurrence is the long-division oracle, which must stay independent. A term
 value that is not a finite float raises OverflowError at its n, for int and
-float data alike. The supports are gated explicitly: without the gates the
-k=1 formula is nonzero at small n where the true sequence must vanish.
+float data alike, and so does a sum of finite terms that is not. The
+supports are gated explicitly: without the gates the k=1 formula is nonzero
+at small n where the true sequence must vanish.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def eval_sequence(expr, n_max):
     """Evaluate x[n] for n = 0..n_max: term columns summed in term order.
 
     The quadratic terms of one pole pair share one running power product.
+    Finite terms whose sum is not a finite float raise OverflowError at the
+    first such n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -241,6 +244,9 @@ def eval_sequence(expr, n_max):
     s0 = {pair: _quad_columns(*pair, ks) for pair, ks in pairs.items()}
     columns = [_column(t, n_max, s0) for t in expr.terms]
     values = tuple(map(sum, zip(*columns))) if columns else (0,) * (n_max + 1)
+    if not all(map(math.isfinite, values)):
+        n = next(n for n, v in enumerate(values) if not math.isfinite(v))
+        raise OverflowError(f"closed-form sum overflows a float at n={n}")
     return SequenceTable(values, "proposed", expr.source)
 
 

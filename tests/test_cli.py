@@ -106,6 +106,17 @@ class TestTable:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    def test_sum_overflow_exit_one(self, capsys):
+        # finite terms whose sum is not a finite float: no inf in text, no
+        # Infinity in JSON
+        expr = "(2z-3.8000001)/((z-1.9)*(z-1.9000001))"
+        for fmt in ("text", "json"):
+            assert main(["table", expr, "--n", "1106", "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error: closed-form sum overflows a float at n=1106\n"
+            )
+
     def test_all_methods_factor_once(self, factor_calls, capsys):
         # factored input: the closed form needs no factoring, and moreira
         # and juric share one pole list
@@ -224,6 +235,46 @@ class TestUsage:
 
     def test_bad_tol(self, capsys):
         assert main(["compare", "z/(z-1)", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["identities", "--tol", "nan"], "--tol must be finite"),
+            (["identities", "--tol", "0"], "--tol must be > 0"),
+            (["identities", "--tol", "-1"], "--tol must be > 0"),
+            (["invert", "1/(z-0.5)^2", "--tol", "nan"], "--tol must be finite"),
+            (["invert", "1/(z-0.5)^2", "--tol", "-1"], "--tol must be >= 0"),
+            (["invert", "1/(z-0.5)^2", "--tol", "inf"], "--tol must be finite"),
+            (["compare", "z/(z-1)", "--tol", "nan"], "--tol must be finite"),
+            (["compare", "z/(z-1)", "--tol", "inf"], "--tol must be finite"),
+            (["compare", "z/(z-1)", "--tol", "0"], "--tol must be > 0"),
+            (["compare", "--fuzz", "2", "--tol", "nan"], "--tol must be finite"),
+        ],
+    )
+    def test_tol_rejected(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_invert_tol_zero_accepted(self, capsys):
+        # the cutoff is 0: only the simple pole's zero amplitude is dropped
+        assert main(["invert", "1/(z-0.5)^2", "--tol", "0"]) == 0
+        assert capsys.readouterr().out == "C(n-1,1)*0.5^(n-2)*u[n-2]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invert", "1/(z-1)"],
+            ["compare", "1/(z-1)"],
+            ["compare", "--fuzz", "2"],
+            ["identities"],
+        ],
+    )
+    def test_csv_only_for_table(self, argv, capsys):
+        assert main([*argv, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        message = f"error: csv output is not defined for '{argv[0]}'; use text or json\n"
+        assert (captured.out, captured.err) == ("", message)
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_fuzz_below_one(self, count, capsys):

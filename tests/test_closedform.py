@@ -331,6 +331,15 @@ class TestTablePath:
         with pytest.raises(OverflowError, match="overflows a float"):
             quad_seq0(t.a, t.b, t.mult, 2200)
 
+    def test_sum_of_finite_terms_overflow_raises(self):
+        # both real-pole terms are finite at n = 1106; only their sum is not
+        e = invert_expression("(2z-3.8000001)/((z-1.9)*(z-1.9000001))")
+        assert [type(t) for t in e.terms] == [RealPole, RealPole]
+        assert all(math.isfinite(real_pole_seq(t.amp, t.pole, t.mult, 1106)) for t in e.terms)
+        assert all(map(math.isfinite, eval_sequence(e, 1105).values))
+        with pytest.raises(OverflowError, match="^closed-form sum overflows a float at n=1106$"):
+            eval_sequence(e, 1106)
+
 
 def _s0_per_n(a, b, k, n, im_pow):
     """s0[n] value by value: the formula body the column passes replaced."""
