@@ -33,7 +33,6 @@ from .factorize import (
     LinearFactor,
     QuadraticFactor,
     cluster_and_pair,
-    complex_pole_multiplicities,
     factor_denominator,
     find_roots,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "cluster_and_pair",
     "compare_methods",
     "complex_pfe_over_z",
-    "complex_pole_multiplicities",
     "eval_sequence",
     "factor_denominator",
     "falling_factorial",

@@ -315,6 +315,8 @@ def factor_denominator(d):
     re-expands to d (relative error <= 1e-8) and passes the multiple-root
     residual test. Among acceptable candidates the most merged one wins:
     a spurious merge of genuinely distinct roots fails the residual test.
+    A width whose clustering equals an earlier one's is skipped: it would
+    polish to the same candidate, which the earlier rung wins.
     """
     if d.degree < 1:
         raise ValueError("need degree >= 1 to factor")
@@ -324,12 +326,16 @@ def factor_denominator(d):
     roots = [z for z, _ in find_roots(d)]
 
     candidates = []
+    tried = []
     best_err = math.inf
     for order, tc in enumerate((DEFAULT_TOL_CLUSTER, *_PROMOTION_TOLS)):
         try:
             skel = cluster_and_pair(roots, tc)
         except FactorizationError:
             continue
+        if skel in tried:
+            continue
+        tried.append(skel)
         cand = FactoredDenominator(
             skel.origin_mult, skel.linears, skel.quadratics, lead
         )
@@ -344,11 +350,3 @@ def factor_denominator(d):
         )
     return min(candidates)[2]
 
-
-def complex_pole_multiplicities(p):
-    """Distinct complex poles of a real polynomial with multiplicities.
-
-    Same recovery pipeline as factor_denominator, returned as a
-    conjugate-closed (pole, multiplicity) list.
-    """
-    return factor_denominator(p).pole_list()

@@ -22,9 +22,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from . import factorize
 from .closedform import SequenceTable, eval_sequence, invert
 from .errors import ZinvError
-from .factorize import complex_pole_multiplicities
 from .identities import _discard_imag, falling_factorial
 from .pfe import _deflate, _divided_by_z, _limit_coeffs, complex_pfe_over_z
 from .polynomial import Polynomial
@@ -33,22 +33,35 @@ from .polynomial import Polynomial
 METHOD_ERRORS = (ZinvError, ValueError, ZeroDivisionError, OverflowError)
 
 
+def _finite(method, n, value):
+    """value if it is a finite float (or an int within float range); else OverflowError."""
+    try:
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:  # an int beyond float range
+        pass
+    raise OverflowError(f"{method} sequence overflows a float at n={n}")
+
+
 def longdiv_series(x, n_max):
     """Power-series coefficients of X(z) in 1/z by the division recurrence.
 
     With monic denominator z^q + a_1 z^(q-1) + ... + a_q and the numerator
     aligned to z^q, x[n] = num[z^(q-n)] - sum_{i=1}^{min(n,q)} a_i x[n-i].
-    Exact when the coefficients are integers.
+    Exact when the coefficients are integers (and the values within float range).
     """
     p, q = x.num.degree, x.den.degree
     if p > q:
         raise ValueError("non-causal: improper rational")
     vals = []
     for n in range(n_max + 1):
-        acc = x.num.coeff(q - n)
-        for i in range(1, min(n, q) + 1):
-            acc -= x.den.coeff(q - i) * vals[n - i]
-        vals.append(acc)
+        try:
+            acc = x.num.coeff(q - n)
+            for i in range(1, min(n, q) + 1):
+                acc -= x.den.coeff(q - i) * vals[n - i]
+        except OverflowError:
+            acc = math.nan
+        vals.append(_finite("longdiv", n, acc))
     return SequenceTable(tuple(vals), "longdiv", x)
 
 
@@ -59,41 +72,30 @@ def moreira_series(x, n_max, poles=None):
     poles at 0 give shifted impulses, a pole p of multiplicity q gives
     coeff * C(n, q-1) * p^(n-q+1); conjugate pairs combine into
     2|c| r^(n-q+1) C(n, q-1) cos((n-q+1)theta + phi) with phi = arg(c).
-    poles is as for complex_pfe_over_z.
+    poles is as for complex_pfe_over_z. A term overflowing at n makes x[n] NaN.
     """
     cpf = complex_pfe_over_z(x, poles=poles)
     vals = [0j] * (n_max + 1)
     for t in cpf.terms:
         pole, j, coeff = t.pole, t.j, t.coeff
-        if pole == 0:
-            idx = j - 1  # z * coeff/z^j = coeff * z^(1-j)
-            if 0 <= idx <= n_max:
-                vals[idx] += coeff
-        elif pole.imag == 0:
-            r = pole.real
-            for n in range(n_max + 1):
-                c = math.comb(n, j - 1)
-                if c:
-                    vals[n] += coeff * c * r ** (n - j + 1)
-        elif pole.imag > 0:
-            amp = abs(coeff)
-            if amp == 0:
-                continue
-            phi = cmath.phase(coeff)
-            r = abs(pole)
-            theta = cmath.phase(pole)
-            for n in range(n_max + 1):
-                c = math.comb(n, j - 1)
-                if c:
-                    vals[n] += (
-                        2.0
-                        * amp
-                        * c
-                        * r ** (n - j + 1)
-                        * math.cos((n - j + 1) * theta + phi)
-                    )
-        # pole.imag < 0: consumed by its conjugate partner
-    out = tuple(_discard_imag(v, "moreira") for v in vals)
+        try:
+            if pole == 0:
+                if j - 1 <= n_max:  # z * coeff/z^j = coeff * z^(1-j)
+                    vals[j - 1] += coeff
+            elif pole.imag == 0:
+                for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
+                    vals[n] += coeff * math.comb(n, j - 1) * pole.real ** (n - j + 1)
+            elif pole.imag > 0:
+                amp, phi, r, theta = abs(coeff), cmath.phase(coeff), abs(pole), cmath.phase(pole)
+                if amp == 0:
+                    continue
+                for n in range(j - 1, n_max + 1):
+                    c = math.comb(n, j - 1)
+                    vals[n] += 2.0 * amp * c * r ** (n - j + 1) * math.cos((n - j + 1) * theta + phi)
+            # pole.imag < 0: consumed by its conjugate partner
+        except OverflowError:  # only the n loops raise it: x[n] is not a finite float
+            vals[n] = math.nan
+    out = tuple(_discard_imag(_finite("moreira", n, v), "moreira") for n, v in enumerate(vals))
     return SequenceTable(out, "moreira", x)
 
 
@@ -128,7 +130,7 @@ def juric_coefficients(x, poles=None):
     if den.degree < 1:
         return JuricCoefficients((), num, den)
     if poles is None:
-        poles = complex_pole_multiplicities(den)
+        poles = factorize.factor_denominator(den).pole_list()
     tables = {}
     # upper-half poles first so lower-half tables mirror them exactly
     for zk, m in sorted(poles, key=lambda pm: (pm[0].real, -pm[0].imag)):
@@ -159,7 +161,7 @@ def juric_series(x, n_max, poles=None):
 
     x[n] = sum_k sum_{j=0}^{m_k-1} c_{k, m_k-1-j} C(n,j) z_k^(n-j), with the
     z_k = 0 term replaced by c_{k, m_k-1-j} delta[n-j]. poles is as for
-    juric_coefficients.
+    juric_coefficients. Overflow is reported as in moreira_series.
     """
     table = juric_coefficients(x, poles=poles)
     vals = [0j] * (n_max + 1)
@@ -171,36 +173,43 @@ def juric_series(x, n_max, poles=None):
                 if 0 <= j <= n_max:
                     vals[j] += c
                 continue
-            for n in range(n_max + 1):
-                binom = math.comb(n, j)
-                if binom:
-                    vals[n] += c * binom * zk ** (n - j)
-    out = tuple(_discard_imag(v, "juric") for v in vals)
+            for n in range(j, n_max + 1):  # C(n, j) is 0 below
+                try:
+                    vals[n] += c * math.comb(n, j) * zk ** (n - j)
+                except OverflowError:
+                    vals[n] = math.nan
+    out = tuple(_discard_imag(_finite("juric", n, v), "juric") for n, v in enumerate(vals))
     return SequenceTable(out, "juric", x)
 
 
-def residue_value(x, n, poles=None):
+def _principal_parts(x, poles):
+    """[(z_k, m, {j: A_j})]: X's principal part sum_j A_j/(z-z_k)^j at each pole."""
+    return [(zk, m, _limit_coeffs(x.num, _deflate(x.den, zk, m), zk, m)) for zk, m in poles]
+
+
+def residue_value(x, n, poles=None, parts=None):
     """x[n] as the sum of residues of X(z) z^(n-1) over the poles of X.
 
-    At a pole z_k of multiplicity m, X has principal part sum_j A_j/(z-z_k)^j
-    (_limit_coeffs on the deflated denominator, the same for every n), and
-    the residue is sum_l A_(l+1) C(n-1, l) z_k^(n-1-l) over l < min(m, n):
+    At a pole z_k of multiplicity m, X has principal part sum_j A_j/(z-z_k)^j,
+    and the residue is sum_l A_(l+1) C(n-1, l) z_k^(n-1-l) over l < min(m, n):
     the terms with l > n-1 vanish and are skipped, as z_k = 0 would divide by
-    zero there. So a value's cost barely grows with n. n = 0 is excluded:
-    z^(n-1) would add a pole at the origin outside X's pole set. poles is
-    OraclePoles(x).of_x(), computed here when None; a constant denominator
-    has none, and the sum is 0.
+    zero there. n = 0 is excluded: z^(n-1) would add a pole at the origin
+    outside X's pole set. parts is OraclePoles(x).residue_parts(), the same
+    for every n; when None it is built from poles (OraclePoles(x).of_x(),
+    found here when None). A constant denominator has none, and the sum is 0.
     """
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
-    if poles is None:
-        poles = OraclePoles(x).of_x()
+    if parts is None:
+        parts = _principal_parts(x, OraclePoles(x).of_x() if poles is None else poles)
     total = 0j
-    for zk, m in poles:
-        coeffs = _limit_coeffs(x.num, _deflate(x.den, zk, m), zk, m)
-        for l in range(min(m, n)):
-            total += coeffs[l + 1] * math.comb(n - 1, l) * zk ** (n - 1 - l)
-    return _discard_imag(total, "residue")
+    try:
+        for zk, m, coeffs in parts:
+            for l in range(min(m, n)):
+                total += coeffs[l + 1] * math.comb(n - 1, l) * zk ** (n - 1 - l)
+    except OverflowError:
+        total = math.nan
+    return _discard_imag(_finite("residue", n, total), "residue")
 
 
 def _worst(values):
@@ -216,31 +225,36 @@ def within_bound(dev, bound):
 class OraclePoles:
     """The oracles' two pole lists for one input, each factored at most once.
 
-    over_z() is complex_pole_multiplicities of X(z)/z's denominator (moreira,
-    juric), of_x() of X's (residue); a constant denominator has no poles. A
-    factoring error is kept and raised at each use, where the oracle would
-    have raised it.
+    over_z() is the pole list of X(z)/z's denominator (moreira, juric), of_x()
+    X's, and residue_parts() X's principal parts at those poles (residue);
+    a constant denominator has no poles. An error is kept and raised at each
+    use, where the oracle would have raised it.
     """
 
     def __init__(self, x):
-        self.over_z = _poles_once(_divided_by_z(x)[1])
-        self.of_x = _poles_once(x.den)
+        self.over_z = _once(lambda: _poles(_divided_by_z(x)[1]))
+        self.of_x = _once(lambda: _poles(x.den))
+        self.residue_parts = _once(lambda: _principal_parts(x, self.of_x()))
 
 
-def _poles_once(p):
+def _poles(p):
+    return factorize.factor_denominator(p).pole_list() if p.degree >= 1 else ()
+
+
+def _once(compute):
     memo = []
 
-    def poles():
+    def value():
         if not memo:
             try:
-                memo.append(complex_pole_multiplicities(p) if p.degree >= 1 else ())
+                memo.append(compute())
             except METHOD_ERRORS as exc:
                 memo.append(exc)
         if isinstance(memo[0], Exception):
             raise memo[0]
         return memo[0]
 
-    return poles
+    return value
 
 
 # name -> series(x, n_max, factored, poles) giving x[0..n_max], poles an
@@ -326,7 +340,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     ref = methods[anchor].values
     for n in (i for i in _RESIDUE_BASE if 1 <= i <= n_max):
         try:
-            val = residue_value(x, n, poles=poles.of_x())
+            val = residue_value(x, n, parts=poles.residue_parts())
             dev = abs(val - ref[n])
             report.residue_checks.append((n, val, dev, None))
             if not within_bound(dev, bound):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FactorizationError
-from .factorize import _expand_error, complex_pole_multiplicities
+from .factorize import _expand_error, factor_denominator
 from .polynomial import ONE, Z, Polynomial
 
 COND_WARN = 1e12
@@ -325,7 +325,7 @@ def complex_pfe_over_z(x, poles=None):
     A_{m-i} = (1/i!) d^i/dz^i [(z - z_k)^m Y(z)] at z_k, evaluated by
     repeated quotient-rule differentiation of the deflated rational.
     Conjugate closure is enforced by averaging paired coefficients. poles
-    is complex_pole_multiplicities(_divided_by_z(x)[1]), found here if None.
+    is factor_denominator(_divided_by_z(x)[1]).pole_list(), found here if None.
     """
     num, den = _divided_by_z(x)
     poly_part, rem = divmod(num, den)
@@ -334,7 +334,7 @@ def complex_pfe_over_z(x, poles=None):
         return ComplexPartialFraction((), poly_part, 0.0)
 
     if poles is None:
-        poles = complex_pole_multiplicities(den)
+        poles = factor_denominator(den).pole_list()
 
     raw = {}
     for zk, m in poles:

@@ -18,7 +18,7 @@ def factor_calls(monkeypatch):
     """Denominators passed to zinv.factorize.factor_denominator during a test.
 
     Counts the calls reached through the factorize module, which is how the
-    oracles factor (complex_pole_multiplicities); the closed form binds its
+    oracles factor (factorize.factor_denominator); the closed form binds its
     own name and is not counted.
     """
     from zinv import factorize

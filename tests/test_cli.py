@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from zinv.cli import main
+from zinv.oracles import residue_value
+from zinv.parser import parse_rational_expr
 
 
 class TestInvert:
@@ -124,6 +126,22 @@ class TestTable:
         assert main(["table", expr, "--n", "20", "--method", "all"]) == 0
         assert len(factor_calls) == 1
 
+    @pytest.mark.parametrize("expr", ["1/(z-0.5)^3", "(z+2)/(z^2 (z^2-z+0.5))"])
+    def test_residue_values_match_per_n_calls(self, expr, capsys):
+        # the principal parts are built once per table, with the same sums
+        assert main(["table", expr, "--n", "60", "--method", "residue", "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["values"]
+        x, _ = parse_rational_expr(expr)
+        assert got == [residue_value(x, n) for n in range(1, 61)]
+
+    def test_longdiv_overflow_exit_one(self, capsys):
+        # integer long division used to print 300-digit ints and exit 0
+        argv = ["table", "1/(z^2-4z+8)", "--n", "2200", "--method", "longdiv", "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: longdiv sequence overflows a float at n=686\n"
+
     def test_residue_factors_once(self, factor_calls, capsys):
         expr = "1/((z-0.5)^2 (z^2-z+0.5))"
         assert main(["table", expr, "--n", "40", "--method", "residue"]) == 0
@@ -156,6 +174,14 @@ class TestCompare:
         assert main(["compare", "1/(z^2-3z+4.5)", "--n", "1500"]) == 1
         out = capsys.readouterr().out
         assert "PASS" not in out and out.rstrip().endswith("FAIL")
+
+    def test_overflowing_methods_are_reported(self, capsys):
+        # every method overflows before n = 2200: a report naming each, not a crash
+        assert main(["compare", "1/(z^2-4z+8)", "--n", "2200", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        for run in doc["methods"].values():
+            assert "sequence overflows a float at n=" in run["error"]
 
     def test_fuzz_small(self, capsys):
         assert main(["compare", "--fuzz", "10", "--seed", "42"]) == 0

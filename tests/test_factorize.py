@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from zinv import factorize
+from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
 from zinv.factorize import (
     FactoredDenominator,
     LinearFactor,
     QuadraticFactor,
     cluster_and_pair,
-    complex_pole_multiplicities,
     factor_denominator,
     find_roots,
 )
@@ -221,11 +222,96 @@ class TestRoundTrip:
 
 class TestPoleMultiplicities:
     def test_conjugate_closed(self):
-        poles = complex_pole_multiplicities(Polynomial.from_factors(quadratic=[(1, 1, 2)]))
+        poles = factor_denominator(Polynomial.from_factors(quadratic=[(1, 1, 2)])).pole_list()
         assert poles == [(1 - 1j, 2), (1 + 1j, 2)]
 
     def test_origin_and_real(self):
         p = Polynomial.from_factors(linear=[(0, 2), (1.5, 1)])
-        poles = complex_pole_multiplicities(p)
+        poles = factor_denominator(p).pole_list()
         assert (0j, 2) in poles
         assert any(abs(z - 1.5) < 1e-9 and m == 1 for z, m in poles)
+
+
+def _all_rungs(d):
+    """factor_denominator before equal clusterings were skipped: every rung is polished."""
+    roots = [z for z, _ in factorize.find_roots(d)]
+    candidates, best_err = [], math.inf
+    for order, tc in enumerate((factorize.DEFAULT_TOL_CLUSTER, *factorize._PROMOTION_TOLS)):
+        try:
+            skel = factorize.cluster_and_pair(roots, tc)
+        except FactorizationError:
+            continue
+        cand = FactoredDenominator(skel.origin_mult, skel.linears, skel.quadratics, d.leading)
+        cand = factorize._polish(d, cand)
+        err = factorize._expand_error(d, cand)
+        best_err = min(best_err, err)
+        if err <= factorize.EXPAND_RTOL and factorize._structure_ok(d, cand):
+            candidates.append((factorize._location_count(cand), order, cand))
+    if not candidates:
+        raise FactorizationError(
+            f"factor recovery failed: best relative expansion error {best_err:.3g}"
+        )
+    return min(candidates)[2]
+
+
+def _outcome(factor, d):
+    """The structure factor returns for d, or the message of the error it raises."""
+    try:
+        return factor(d)
+    except FactorizationError as exc:
+        return str(exc)
+
+
+def _ladder_corpus():
+    rng = random.Random(11)
+    dens = [Polynomial.from_factors(linear=[(0.5, k)]) for k in range(1, 12)]
+    dens.append(Polynomial.from_factors(linear=[(1.3, 8)]))
+    for pairs in (4, 6):  # expanded degree-16 and degree-24 double pairs
+        for _ in range(3):
+            quads = []
+            for _ in range(pairs):
+                r, t = rng.uniform(0.3, 1.2), rng.uniform(0.2, 2.9)
+                quads.append((r * math.cos(t), r * math.sin(t), 2))
+            dens.append(Polynomial.from_factors(quadratic=quads))
+    for _ in range(100):  # D and z*D of default-fuzz cases
+        x, _ = random_rational(rng)
+        dens += [x.den, x.den.shift(1)]
+    return dens
+
+
+class TestLadderDedup:
+    """A rung whose clustering equals an earlier rung's is not polished again."""
+
+    def test_same_result_as_polishing_every_rung(self):
+        dens = _ladder_corpus()
+        for d in dens:
+            assert _outcome(factor_denominator, d) == _outcome(_all_rungs, d)
+        failing = _outcome(factor_denominator, dens[11])  # (z-1.3)^8
+        assert failing.startswith("factor recovery failed: best relative expansion error")
+
+    def test_one_polish_per_distinct_clustering(self, monkeypatch):
+        skeletons, polished = [], []
+        real_cluster, real_polish = factorize.cluster_and_pair, factorize._polish
+
+        def cluster(roots, tc):
+            skel = real_cluster(roots, tc)
+            skeletons.append(skel)
+            return skel
+
+        def polish(d, skel):
+            polished.append(skel)
+            return real_polish(d, skel)
+
+        monkeypatch.setattr(factorize, "cluster_and_pair", cluster)
+        monkeypatch.setattr(factorize, "_polish", polish)
+        saved = 0
+        for d in _ladder_corpus():
+            del skeletons[:], polished[:]
+            _outcome(factor_denominator, d)
+            distinct = []
+            for s in skeletons:
+                if s not in distinct:
+                    distinct.append(s)
+            assert len(polished) == len(distinct)
+            saved += len(skeletons) - len(polished)
+        assert saved > 0

@@ -252,6 +252,22 @@ class TestSharedPoleLists:
             for n, val, _, err in report.residue_checks:
                 assert err is None and val == residue_value(x, n)
 
+    def test_compare_builds_each_principal_part_once(self, monkeypatch):
+        # the 5 residue checks share X's principal parts: one _limit_coeffs
+        # call per distinct pole of X, not one per pole per check
+        at = []
+        real = oracles._limit_coeffs
+
+        def counted(p, q, z0, m):
+            at.append(z0)
+            return real(p, q, z0, m)
+
+        monkeypatch.setattr(oracles, "_limit_coeffs", counted)
+        x, factored = random_rational(random.Random(42))
+        report = compare_methods(x, n_max=50, tol=1e-7, factored=factored)
+        assert len(report.residue_checks) == 5
+        assert at == [z for z, _ in OraclePoles(x).of_x()] and len(at) >= 2
+
     def test_factoring_error_stays_per_method(self, factor_calls):
         # the closed form uses the exact factors; numeric factoring of the
         # expanded 8-fold pole fails for every oracle that needs poles
@@ -273,3 +289,39 @@ class TestSharedPoleLists:
         assert report.methods["moreira"].error == alone["moreira"]
         assert report.methods["juric"].error == alone["juric"]
         assert [err for *_, err in report.residue_checks] == [alone["residue"]] * 5
+
+
+class TestOverflow:
+    """Each oracle names itself and the first n whose value is not a finite float."""
+
+    SERIES = {"longdiv": longdiv_series, "moreira": moreira_series, "juric": juric_series}
+
+    @pytest.mark.parametrize(
+        "expr,method,n",
+        [
+            # integer data: long division keeps exact ints while they fit a float
+            ("1/(z^2-4z+8)", "longdiv", 686),
+            ("1/(z^2-4z+8)", "moreira", 683),
+            ("1/(z^2-4z+8)", "juric", 683),
+            ("1/(z-1.9)^3", "longdiv", 1087),
+            ("1/(z-1.9)^3", "moreira", 1089),
+            ("1/(z-1.9)^3", "juric", 1089),
+        ],
+    )
+    def test_series_names_first_n(self, expr, method, n):
+        x, _ = parse_rational_expr(expr)
+        vals = self.SERIES[method](x, n - 1).values
+        assert all(map(math.isfinite, vals))
+        with pytest.raises(OverflowError, match=f"^{method} sequence overflows a float at n={n}$"):
+            self.SERIES[method](x, n + 50)
+
+    def test_longdiv_ints_stay_exact_in_range(self):
+        x, _ = parse_rational_expr("1/(z^2-4z+8)")
+        assert all(type(v) is int for v in longdiv_series(x, 685).values)
+
+    @pytest.mark.parametrize("expr,n", [("1/(z^2-4z+8)", 684), ("1/(z-1.9)^3", 1089)])
+    def test_residue_names_n(self, expr, n):
+        x, _ = parse_rational_expr(expr)
+        assert math.isfinite(residue_value(x, n - 1))
+        with pytest.raises(OverflowError, match=f"^residue sequence overflows a float at n={n}$"):
+            residue_value(x, n)
