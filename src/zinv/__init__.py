@@ -17,7 +17,6 @@ from .closedform import (
     invert,
     invert_expression,
     quad_seq0,
-    quad_seq1,
     real_pole_seq,
     render,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "pair_convolution_series",
     "parse_rational_expr",
     "quad_seq0",
-    "quad_seq1",
     "real_pfe",
     "real_pole_seq",
     "recombine",

@@ -25,15 +25,18 @@ non-integer data in floats. One formula body, _s0, evaluates a range of n:
 each j-th summand is one list pass, the passes are added from an int 0 in j
 order and one more pass divides, the operations of a value-by-value loop in
 its order. quad_seq0 runs it on one n with powers by binary exponentiation
-(random access); eval_sequence tabulates n = 0..N from one running product
-(a+ib)^m per pole pair, shared by all its multiplicities and by s1, CHUNK
-values of n at a time so exact integer powers never fill an O(N^2)-bit
-table. That is still this sum, not the denominator's recurrence: the
-recurrence is the long-division oracle, which must stay independent. A term
-value that is not a finite float raises OverflowError at its n, for int and
-float data alike, and so does a sum of finite terms that is not. The
-supports are gated explicitly: without the gates the k=1 formula is nonzero
-at small n where the true sequence must vanish.
+(random access). eval_sequence walks n = 0..N once over all terms, CHUNK
+values of n at a time: each pole pair keeps one running product (a+ib)^m,
+shared by all its multiplicities and by s1, with only the last 2K-1 powers
+carried from chunk to chunk so exact integer powers never fill an
+O(N^2)-bit table, and the chunk's term columns are summed in term order.
+That is still this sum, not the denominator's recurrence: the recurrence is
+the long-division oracle, which must stay independent. Overflow has one
+rule, for int and float data alike: OverflowError at the first n whose
+value is not a finite float, naming the term that fails there or, when
+every term is finite, the sum. The supports are gated explicitly: without
+the gates the k=1 formula is nonzero at small n where the true sequence
+must vanish.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .factorize import factor_denominator
 from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
 
 DROP_TOL = 1e-12
-CHUNK = 1024  # n values per column pass of the quadratic-pole table
+CHUNK = 1024  # n values per column pass of eval_sequence
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,9 @@ class ClosedFormExpr:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """x[n] values over n = 0..n_max, tagged with the producing method."""
+    """x[n] values over n = 0..n_max."""
 
     values: tuple
-    method_tag: str
-    source: RationalFunction | None = None
 
     def __len__(self):
         return len(self.values)
@@ -126,14 +127,6 @@ def _s0(a, b, k, ns, im, off):
     return None
 
 
-def _s0_at(a, b, k, n, im, off):
-    """s0[n] alone, im and off as for _s0; OverflowError if not a finite float."""
-    vals = _s0(a, b, k, range(n, n + 1), im, off)
-    if vals is None:
-        raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
-    return vals[0]
-
-
 def quad_seq0(a, b, k, n):
     """Sequence for a constant numerator over (z^2-2az+(a^2+b^2))**k.
 
@@ -141,44 +134,28 @@ def quad_seq0(a, b, k, n):
     """
     a, b = _pair(a, b, k)
     off = max(0, n - 2 * k + 1)
-    return _s0_at(a, b, k, n, [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)
+    vals = _s0(a, b, k, range(n, n + 1), [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)
+    if vals is None:
+        raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
+    return vals[0]
 
 
-def quad_seq1(a, b, k, n):
-    """Sequence for a bare-z numerator: quad_seq0 shifted one step left."""
-    return quad_seq0(a, b, k, n + 1)
-
-
-def _quad_columns(a, b, lengths):
-    """{k: [quad_seq0(a, b, k, n) for n < lengths[k]]} from one running product.
-
-    n is taken CHUNK values at a time, keeping the last 2K-1 powers of the
-    chunk before, K = max k: exact integer powers grow without bound, so a
-    full table would cost O(N^2) bits. The first value that is not a finite
-    float stops the pair, as in an n-by-n, k-by-k walk.
+def _pair_chunks(a, b, k, n_end):
+    """(a, b, im, off) per CHUNK of n < n_end: a, b from _pair, and
+    im[m - off] = Im((a+ib)**m) for the m that _s0 reads in the chunk, from
+    one running product keeping the last 2k-1 powers of the chunk before
+    (exact integer powers grow without bound: a full table is O(N^2) bits).
     """
-    a, b = _pair(a, b, max(lengths))
-    keep = 2 * max(lengths) - 1
-    cols = {k: [] for k in lengths}
-    im = [0] * keep  # Im((a+ib)**m) for m = n0-keep..; the m < 0 are never read
+    a, b = _pair(a, b, k)
+    keep = 2 * k - 1
+    im = [0] * keep  # the m < 0 are never read
     re, cur = 1, 0
-    n_end = max(lengths.values())
     for n0 in range(0, n_end, CHUNK):
-        n1 = min(n0 + CHUNK, n_end)
-        for _ in range(n0, n1):
+        for _ in range(n0, min(n0 + CHUNK, n_end)):
             im.append(cur)
             re, cur = re * a - cur * b, re * b + cur * a
-        off = n0 - keep
-        part = {k: _s0(a, b, k, range(n0, max(n0, min(n1, lengths[k]))), im, off) for k in cols}
-        if None in part.values():
-            for n in range(n0, n1):  # raise at the first failing n
-                for k in cols:
-                    if n < lengths[k]:
-                        _s0_at(a, b, k, n, im, off)
-        for k, col in cols.items():
-            col += part[k]
+        yield a, b, im, n0 - keep
         im = im[-keep:]
-    return cols
 
 
 def _real_pole_col(amp, pole, k, ns):
@@ -206,48 +183,80 @@ def real_pole_seq(amp, pole, k, n):
     return vals[0]
 
 
-def _column(term, n_max, s0):
-    """One term's sequence over n = 0..n_max; s0[a, b][k] is a quad_seq0 column."""
-    ns = range(n_max + 1)
-    if isinstance(term, Impulse):
-        return [term.amp if n == term.index else 0.0 for n in ns]
-    if isinstance(term, RealPole):
-        col = _real_pole_col(term.amp, term.pole, term.mult, ns)
-        if col is None:  # the per-n values raise at the first one not finite
-            col = [real_pole_seq(term.amp, term.pole, term.mult, n) for n in ns]
+def _term_col(t, ns, powers):
+    """t's values for n in ns; None if one is not a finite float.
+
+    powers[t.a, t.b] = (a, b, im, off): the pair from _pair and its Gaussian
+    powers for _s0, which reach one past ns for the z-numerator piece.
+    """
+    if isinstance(t, Impulse):
+        return [t.amp if n == t.index else 0.0 for n in ns]
+    if isinstance(t, RealPole):
+        return _real_pole_col(t.amp, t.pole, t.mult, ns)
+    if isinstance(t, QuadPole):
+        a, b, im, off = powers[t.a, t.b]
+        # s1[n] = s0[n+1]: s0 one past ns only where s1 is used, so that the
+        # last n with a finite value is not taken for a failing one
+        s0 = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(t.z_amp)), im, off)
+        if s0 is None:
+            return None
+        col = [0.0] * len(ns)
+        if t.z_amp:
+            col = [v + t.z_amp * s for v, s in zip(col, s0[1:])]
+        if t.const_amp:
+            col = [v + t.const_amp * s for v, s in zip(col, s0)]
         return col
-    if isinstance(term, QuadPole):
-        base = s0[term.a, term.b][term.mult]
-        col = [0.0] * (n_max + 1)
-        if term.z_amp:  # s1[n] = s0[n+1]
-            col = [v + term.z_amp * s for v, s in zip(col, base[1:])]
-        if term.const_amp:
-            col = [v + term.const_amp * s for v, s in zip(col, base)]
-        return col
-    raise TypeError(f"not a closed-form term: {term!r}")
+    raise TypeError(f"not a closed-form term: {t!r}")
+
+
+_KIND = {RealPole: "real-pole", QuadPole: "quadratic-pole"}
+
+
+def _sum(terms, ns, powers):
+    """[x[n] for n in ns]: the term columns summed in term order.
+
+    OverflowError, named for n = ns.start, if a term or the sum is not a
+    finite float: exact for a one-element ns.
+    """
+    cols = []
+    for t in terms:
+        col = _term_col(t, ns, powers)
+        if col is None:
+            raise OverflowError(f"{_KIND[type(t)]} sequence overflows a float at n={ns.start}")
+        cols.append(col)
+    vals = list(map(sum, zip(*cols))) if cols else [0] * len(ns)
+    if not all(map(math.isfinite, vals)):
+        raise OverflowError(f"closed-form sum overflows a float at n={ns.start}")
+    return vals
 
 
 def eval_sequence(expr, n_max):
-    """Evaluate x[n] for n = 0..n_max: term columns summed in term order.
+    """Evaluate x[n] for n = 0..n_max, CHUNK values of n at a time.
 
     The quadratic terms of one pole pair share one running power product.
-    Finite terms whose sum is not a finite float raise OverflowError at the
-    first such n.
+    A chunk where a term or the sum is not a finite float is walked again
+    n by n, so the OverflowError names the first such n and nothing past
+    its chunk is evaluated.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    pairs = {}  # (a, b) -> {mult: number of s0 values its terms use}
+    mults = {}  # (a, b) -> largest multiplicity
     for t in expr.terms:
         if isinstance(t, QuadPole):
-            ks = pairs.setdefault((t.a, t.b), {})
-            ks[t.mult] = max(ks.get(t.mult, 0), n_max + 1 + bool(t.z_amp))
-    s0 = {pair: _quad_columns(*pair, ks) for pair, ks in pairs.items()}
-    columns = [_column(t, n_max, s0) for t in expr.terms]
-    values = tuple(map(sum, zip(*columns))) if columns else (0,) * (n_max + 1)
-    if not all(map(math.isfinite, values)):
-        n = next(n for n, v in enumerate(values) if not math.isfinite(v))
-        raise OverflowError(f"closed-form sum overflows a float at n={n}")
-    return SequenceTable(values, "proposed", expr.source)
+            mults[t.a, t.b] = max(mults.get((t.a, t.b), 0), t.mult)
+    chunks = {ab: _pair_chunks(*ab, k, n_max + 1) for ab, k in mults.items()}
+    values = []
+    for n0 in range(0, n_max + 1, CHUNK):
+        powers = {ab: next(c) for ab, c in chunks.items()}
+        ns = range(n0, min(n0 + CHUNK, n_max + 1))
+        try:
+            values += _sum(expr.terms, ns, powers)
+            continue
+        except OverflowError:
+            pass
+        for n in ns:  # the chunk again n by n: raises at the first failing n
+            values += _sum(expr.terms, range(n, n + 1), powers)
+    return SequenceTable(tuple(values))
 
 
 def invert(x, factored=None, drop_tol=DROP_TOL):

@@ -50,11 +50,6 @@ class QuadraticFactor:
         if self.k < 1:
             raise ValueError("multiplicity must be >= 1")
 
-    @property
-    def angle(self):
-        """Principal argument of a + ib; lies in (0, pi) since b > 0."""
-        return math.atan2(self.b, self.a)
-
 
 @dataclass(frozen=True)
 class FactoredDenominator:

@@ -132,4 +132,4 @@ def pair_convolution_series(a, b, k, n_max):
         0.0 if n < 2 * k else _pair_convolution(a, b, k, n)
         for n in range(n_max + 1)
     ]
-    return SequenceTable(tuple(vals), "convolution", None)
+    return SequenceTable(tuple(vals))

@@ -62,7 +62,7 @@ def longdiv_series(x, n_max):
         except OverflowError:
             acc = math.nan
         vals.append(_finite("longdiv", n, acc))
-    return SequenceTable(tuple(vals), "longdiv", x)
+    return SequenceTable(tuple(vals))
 
 
 def moreira_series(x, n_max, poles=None):
@@ -96,7 +96,7 @@ def moreira_series(x, n_max, poles=None):
         except OverflowError:  # only the n loops raise it: x[n] is not a finite float
             vals[n] = math.nan
     out = tuple(_discard_imag(_finite("moreira", n, v), "moreira") for n, v in enumerate(vals))
-    return SequenceTable(out, "moreira", x)
+    return SequenceTable(out)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def juric_series(x, n_max, poles=None):
                 except OverflowError:
                     vals[n] = math.nan
     out = tuple(_discard_imag(_finite("juric", n, v), "juric") for n, v in enumerate(vals))
-    return SequenceTable(out, "juric", x)
+    return SequenceTable(out)
 
 
 def _principal_parts(x, poles):

@@ -38,7 +38,11 @@ class TestInvert:
         assert "error:" in capsys.readouterr().err
 
     def test_csv_rejected(self, capsys):
-        assert main(["invert", "1/(z-1)", "--format", "csv"]) == 2
+        # argparse rejects it: only table offers csv
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "1/(z-1)", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "zinv invert: error: argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestTable:
@@ -96,11 +100,13 @@ class TestTable:
         [
             ("1/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=686"),
             ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=664"),
-            # the first pair in term order that overflows names n, not the earliest n
-            ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=686"),
+            # the earliest n over all terms: the (z^2-4.5z+8.5)^2 terms fail
+            # first, though the (z^2-4z+8) term comes first in term order
+            ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=657"),
             ("1/(z-1.9)^3", "real-pole sequence overflows a float at n=1089"),
-            # the unit-modulus pair never overflows; the second pair does
-            ("1/((z^2+1)^3 (z^2-2z+2)^2)", "quadratic-pole sequence overflows a float at n=2033"),
+            # the unit-modulus pair never overflows; the second pair does, and
+            # its z-numerator term reads s0[n+1], so x[2032] is the first to fail
+            ("1/((z^2+1)^3 (z^2-2z+2)^2)", "quadratic-pole sequence overflows a float at n=2032"),
         ],
     )
     def test_overflow_first_n_on_a_long_table(self, expr, message, capsys):
@@ -297,10 +303,15 @@ class TestUsage:
         ],
     )
     def test_csv_only_for_table(self, argv, capsys):
-        assert main([*argv, "--format", "csv"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        message = f"error: csv output is not defined for '{argv[0]}'; use text or json\n"
-        assert (captured.out, captured.err) == ("", message)
+        assert captured.out == ""
+        assert f"zinv {argv[0]}: error: argument --format: invalid choice: 'csv'" in captured.err
+        with pytest.raises(SystemExit):
+            main([argv[0], "-h"])
+        assert "--format {text,json}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_fuzz_below_one(self, count, capsys):

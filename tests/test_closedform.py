@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zinv import corpus
+from zinv import closedform, corpus
 
 from zinv.closedform import (
     ClosedFormExpr,
@@ -17,7 +17,6 @@ from zinv.closedform import (
     invert,
     invert_expression,
     quad_seq0,
-    quad_seq1,
     real_pole_seq,
     render,
 )
@@ -68,17 +67,27 @@ class TestQuadSeq0:
             assert quad_seq0(a, b, k, n) == pytest.approx(ref[n], abs=1e-10)
 
 
+def _pair_table(z_amp, const_amp, a, b, k, n_max):
+    """eval_sequence of the one term QuadPole(z_amp, const_amp, a, b, k)."""
+    return eval_sequence(ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None), n_max).values
+
+
 class TestQuadSeq1:
+    """s1, the z-numerator sequence, is s0 shifted one step left, as
+    eval_sequence tabulates it: on integer data the same values as
+    quad_seq0, on float data the table's own s0 column (its running powers
+    round differently from quad_seq0's binary exponentiation)."""
+
     def test_shift_of_seq0(self):
-        assert quad_seq1(0, 1, 1, 1) == quad_seq0(0, 1, 1, 2) == 1.0
+        assert _pair_table(1.0, 0.0, 0, 1, 1, 1)[1] == quad_seq0(0, 1, 1, 2) == 1.0
 
     def test_multiplicity_two_frozen(self):
         # long-division oracle on z/(z^2+1)^2 puts the first 1 at n = 3
-        assert quad_seq1(0, 1, 2, 3) == 1.0
+        assert _pair_table(1.0, 0.0, 0, 1, 2, 3)[3] == 1.0
 
     def test_support_boundary(self):
         for k in range(1, 5):
-            assert quad_seq1(1.0, 1.0, k, 2 * k - 2) == 0.0
+            assert _pair_table(1.0, 0.0, 1.0, 1.0, k, 2 * k - 2)[2 * k - 2] == 0.0
 
     def test_bit_identical_shift(self):
         rng = random.Random(4)
@@ -87,7 +96,9 @@ class TestQuadSeq1:
             b = rng.uniform(0.1, 1.4)
             k = rng.randint(1, 4)
             n = rng.randint(0, 45)
-            assert quad_seq1(a, b, k, n) == quad_seq0(a, b, k, n + 1)
+            s1 = _pair_table(1.0, 0.0, a, b, k, n)
+            s0 = _pair_table(0.0, 1.0, a, b, k, n + 1)
+            assert s1 == s0[1:]
 
 
 class TestRealPoleSeq:
@@ -215,7 +226,7 @@ def _per_n(expr, n_max):
             return real_pole_seq(t.amp, t.pole, t.mult, n)
         val = 0.0
         if t.z_amp:
-            val += t.z_amp * quad_seq1(t.a, t.b, t.mult, n)
+            val += t.z_amp * quad_seq0(t.a, t.b, t.mult, n + 1)
         if t.const_amp:
             val += t.const_amp * quad_seq0(t.a, t.b, t.mult, n)
         return val
@@ -356,7 +367,8 @@ def _s0_per_n(a, b, k, n, im_pow):
 def _table_per_n(expr, n_max):
     """Reference for eval_sequence's values: for each pole pair one running
     product walked n by n, keeping the last 2K-1 imaginary parts, and s0[n]
-    from _s0_per_n; term values added in term order."""
+    from _s0_per_n (inf past an int too large for a float); real poles from
+    real_pole_seq; term values added in term order."""
     mults = {}
     for t in expr.terms:
         if isinstance(t, QuadPole):
@@ -370,13 +382,18 @@ def _table_per_n(expr, n_max):
         re, im = 1, 0
         for n in range(n_max + 2):
             for k, col in cols.items():
-                col.append(_s0_per_n(a, b, k, n, lambda m: window[m - n]))
+                try:
+                    col.append(_s0_per_n(a, b, k, n, lambda m: window[m - n]))
+                except OverflowError:
+                    col.append(math.inf)
             window.append(im)
             re, im = re * a - im * b, re * b + im * a
 
     def value(t, n):
         if isinstance(t, Impulse):
             return t.amp if n == t.index else 0.0
+        if isinstance(t, RealPole):
+            return real_pole_seq(t.amp, t.pole, t.mult, n)
         v = 0.0
         base = s0[t.a, t.b][t.mult]
         if t.z_amp:
@@ -419,6 +436,54 @@ class TestColumnTable:
         for n_max in (0, 5, 9, 1023, 1024, 1025, 2000):  # around closedform.CHUNK = 1024
             expr = _expansion(rng, pairs, ())
             assert eval_sequence(expr, n_max).values == _table_per_n(expr, n_max)
+
+
+class TestFirstFailingN:
+    """An overflow names the first n whose value is not a finite float,
+    over all terms, and nothing past that n's chunk is evaluated."""
+
+    CASES = [
+        ("1/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=686"),
+        ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=664"),
+        ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=657"),
+        ("1/(z-1.9)^3", "real-pole sequence overflows a float at n=1089"),
+        ("1/((z^2+1)^3 (z^2-2z+2)^2)", "quadratic-pole sequence overflows a float at n=2032"),
+        # a bare-z numerator reads s0[n+1], so x[n] fails one step earlier
+        ("z/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=685"),
+        ("(2z-3.8000001)/((z-1.9)*(z-1.9000001))", "closed-form sum overflows a float at n=1106"),
+    ]
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_message_names_first_failing_n(self, text, message):
+        e = invert_expression(text)
+        with pytest.raises(OverflowError) as long_table:
+            eval_sequence(e, 100000)
+        assert str(long_table.value) == message
+        n = int(message.rsplit("=", 1)[1])
+        eval_sequence(e, n - 1)
+        with pytest.raises(OverflowError) as exact:
+            eval_sequence(e, n)
+        assert str(exact.value) == message
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_values_up_to_the_failure(self, text, message):
+        e = invert_expression(text)
+        n = int(message.rsplit("=", 1)[1])
+        assert eval_sequence(e, n - 1).values == _table_per_n(e, n - 1)
+
+    def test_no_chunk_past_the_failing_one(self, monkeypatch):
+        starts = []
+        s0 = closedform._s0
+
+        def counted(a, b, k, ns, im, off):
+            starts.append(ns.start)
+            return s0(a, b, k, ns, im, off)
+
+        monkeypatch.setattr(closedform, "_s0", counted)
+        e = invert_expression("1/((z^2+1)^3 (z^2-2z+2)^2)")
+        with pytest.raises(OverflowError, match="at n=2032$"):
+            eval_sequence(e, 100000)
+        assert max(starts) // closedform.CHUNK == 2032 // closedform.CHUNK
 
 
 class TestEvalInvariants:

@@ -124,12 +124,6 @@ class TestFactorDenominator:
         assert [q.k for q in f.quadratics] == [2]
         assert min(q.b for q in f.quadratics) > 0.5
 
-    def test_angle_in_open_interval(self):
-        f = factor_denominator(Polynomial([5, 2, 1]))  # poles -1 +/- 2i
-        (q,) = f.quadratics
-        assert 0 < q.angle < math.pi
-        assert math.sin(q.angle) > 0
-
 
 def random_factored(rng):
     """<=3 distinct linears (u<=3), <=2 quadratics (k<=3), moduli in [0.5,2],

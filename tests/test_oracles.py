@@ -217,7 +217,7 @@ class TestCompareMethods:
         vals = list(longdiv_series(x, 10).values)
         vals[5] = math.nan
         monkeypatch.setattr(
-            oracles, "eval_sequence", lambda e, n: SequenceTable(tuple(vals), "proposed")
+            oracles, "eval_sequence", lambda e, n: SequenceTable(tuple(vals))
         )
         report = compare_methods(x, n_max=10, tol=1e-9)
         assert not report.passed
