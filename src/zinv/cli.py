@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -286,7 +287,9 @@ def _print_identities(args, doc):
     print("PASS" if doc["passed"] else "FAIL")
 
 
+@functools.cache
 def _build():
+    """The argument parser, built on the first call and reused by every later main."""
     top = argparse.ArgumentParser(
         prog="zinv",
         description="Closed-form inverse Z-transforms of rational functions in z, "

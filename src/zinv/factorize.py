@@ -209,17 +209,22 @@ def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER):
 
 
 def _newton(p, z, iters=40, stop=0.0):
-    """Newton refinement tracking the lowest-residual iterate; stops once it is <= stop."""
+    """Newton refinement tracking the lowest-residual iterate; stops once it is <= stop.
+
+    p(z) is evaluated once per iterate: the residual's value is the next step's.
+    """
     dp = p.derivative()
-    best, best_res = z, abs(p(z))
+    pz = p(z)
+    best, best_res = z, abs(pz)
     for _ in range(iters):
         if best_res <= stop:
             break
         d = dp(z)
         if d == 0:
             break
-        z = z - p(z) / d
-        res = abs(p(z))
+        z = z - pz / d
+        pz = p(z)
+        res = abs(pz)
         if res < best_res:
             best, best_res = z, res
     return best
@@ -340,6 +345,11 @@ def factor_denominator(d):
         if err <= EXPAND_RTOL and _structure_ok(d, cand):
             candidates.append((_location_count(cand), order, cand))
     if not candidates:
+        if best_err <= EXPAND_RTOL:  # that candidate re-expanded: the residual test rejected it
+            raise FactorizationError(
+                f"factor recovery failed: a candidate re-expands to relative error "
+                f"{best_err:.3g} but fails the multiple-root residual test"
+            )
         raise FactorizationError(
             f"factor recovery failed: best relative expansion error {best_err:.3g}"
         )

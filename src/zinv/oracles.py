@@ -10,9 +10,9 @@ Four routes that share no machinery with the closed-form path:
 * per-n residue sums of X(z) z^(n-1).
 
 SERIES_METHODS is the one method list: compare_methods, the CLI's table
-columns and its --method choices all read it. The oracles factor each of
-their two denominators, X(z)/z's and X's, once per request (OraclePoles),
-and never take the parser's factors or the closed form's.
+columns and its --method choices all read it. The oracles factor one
+denominator per request, X(z)/z's, and read X's poles off it (OraclePoles);
+they never take the parser's factors or the closed form's.
 """
 
 from __future__ import annotations
@@ -223,22 +223,44 @@ def within_bound(dev, bound):
 
 
 class OraclePoles:
-    """The oracles' two pole lists for one input, each factored at most once.
+    """The oracles' pole lists for one input, from one factoring.
 
-    over_z() is the pole list of X(z)/z's denominator (moreira, juric), of_x()
-    X's, and residue_parts() X's principal parts at those poles (residue);
-    a constant denominator has no poles. An error is kept and raised at each
-    use, where the oracle would have raised it.
+    over_z() is the pole list of X(z)/z's denominator (moreira, juric), the
+    one factored; of_x() is X's, read off it (_poles_of_x names the one case
+    that factors X's too), and residue_parts() X's
+    principal parts at those poles (residue). A constant denominator has no
+    poles. A factoring error is kept and raised at each use, where the oracle
+    would have raised it.
     """
 
     def __init__(self, x):
-        self.over_z = _once(lambda: _poles(_divided_by_z(x)[1]))
-        self.of_x = _once(lambda: _poles(x.den))
+        den = _divided_by_z(x)[1]
+        self.over_z = _once(lambda: _poles(den))
+        self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
         self.residue_parts = _once(lambda: _principal_parts(x, self.of_x()))
 
 
 def _poles(p):
     return factorize.factor_denominator(p).pole_list() if p.degree >= 1 else ()
+
+
+def _poles_of_x(x, den, over_z):
+    """X's poles from over_z, the poles of den = X(z)/z's denominator.
+
+    The two differ only at the origin, where X's multiplicity is X(z)/z's
+    moved by the z factors the division added and cancelled; an entry that
+    reaches 0 is dropped. When the factoring merged one of den's exact z
+    factors with a tiny pole away from the origin, there is no origin entry
+    to move, and X's denominator is factored itself.
+    """
+    origin = sum(m for z, m in over_z if z == 0)
+    if origin < next(i for i, c in enumerate(den.coeffs) if c != 0):
+        return _poles(x.den)
+    origin += x.den.degree - den.degree
+    poles = [(z, m) for z, m in over_z if z != 0]
+    if origin:
+        poles.append((0j, origin))
+    return sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
 
 
 def _once(compute):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError
 from .factorize import FactoredDenominator, LinearFactor, QuadraticFactor
@@ -40,11 +40,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "z" | one of + - * / ^ ( ) | "end"
-    value: object
-    pos: int
+# kind: "number" | "z" | one of + - * / ^ ( ) | "end"
+Token = namedtuple("Token", "kind value pos")
 
 
 def _line_col(text, pos):
@@ -68,7 +65,8 @@ def tokenize(text):
             raise _error(text, m.start(), f"unexpected character {m.group()!r}")
         if kind == "number":
             s = m.group()
-            value = int(s) if re.fullmatch(r"\d+", s) else float(s)
+            # the number pattern leaves only "." and an exponent to tell a float
+            value = float(s) if "." in s or "e" in s or "E" in s else int(s)
             tokens.append(Token("number", value, m.start()))
         elif kind == "name":
             if m.group() != "z":

@@ -1,9 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from zinv import cli
 from zinv.cli import main
 from zinv.oracles import residue_value
 from zinv.parser import parse_rational_expr
@@ -256,6 +258,38 @@ class TestBatch:
 
     def test_missing_batch_file(self, capsys):
         assert main(["table", "--batch", "/nonexistent/file.txt"]) == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; later calls behave as a first one."""
+
+    COMMANDS = (
+        ["invert", "1/((z-0.5)^2 (z^2-z+0.5))"],
+        ["table", "1/(z-1)", "--n", "-1"],  # usage error, exit 2
+        ["compare", "1/(z^2+1)^2", "--n", "20"],
+        ["--version"],
+        ["invert", "1/((z-0.5)^2 (z^2-z+0.5))"],
+    )
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --version exits from the parser
+            code = exc.code
+        out = capsys.readouterr().out
+        return re.sub(r"\d+\.\d+ ms", "ms", out), code  # compare's timings vary
+
+    def test_each_call_as_a_first_call(self, capsys):
+        first = []
+        for argv in self.COMMANDS:
+            cli._build.cache_clear()
+            first.append(self.run(argv, capsys))
+        cli._build.cache_clear()
+        again = [self.run(argv, capsys) for argv in self.COMMANDS]
+        assert again == first
+        assert [code for _, code in first] == [0, 2, 0, 0, 0]
+        assert cli._build.cache_info().misses == 1
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zinv import factorize
@@ -242,6 +243,11 @@ def _all_rungs(d):
         if err <= factorize.EXPAND_RTOL and factorize._structure_ok(d, cand):
             candidates.append((factorize._location_count(cand), order, cand))
     if not candidates:
+        if best_err <= factorize.EXPAND_RTOL:
+            raise FactorizationError(
+                f"factor recovery failed: a candidate re-expands to relative error "
+                f"{best_err:.3g} but fails the multiple-root residual test"
+            )
         raise FactorizationError(
             f"factor recovery failed: best relative expansion error {best_err:.3g}"
         )
@@ -309,3 +315,58 @@ class TestLadderDedup:
             assert len(polished) == len(distinct)
             saved += len(skeletons) - len(polished)
         assert saved > 0
+
+
+class TestRecoveryMessage:
+    """The error names the test that rejected the last candidates."""
+
+    def test_residual_test_rejection_says_so(self):
+        # six double pairs: every rung re-expands far within the bar
+        with pytest.raises(FactorizationError) as exc:
+            factor_denominator(_ladder_corpus()[16])
+        msg = str(exc.value)
+        head = "factor recovery failed: a candidate re-expands to relative error "
+        tail = " but fails the multiple-root residual test"
+        assert msg.startswith(head) and msg.endswith(tail)
+        assert float(msg[len(head) : -len(tail)]) <= factorize.EXPAND_RTOL
+
+    def test_expansion_failure_keeps_its_message(self):
+        with pytest.raises(FactorizationError) as exc:
+            factor_denominator(_ladder_corpus()[11])  # (z-1.3)^8
+        head = "factor recovery failed: best relative expansion error "
+        assert str(exc.value).startswith(head)
+        assert float(str(exc.value)[len(head) :]) > factorize.EXPAND_RTOL
+
+
+def _newton_two_evaluations(p, z, iters=40, stop=0.0):
+    """_newton as it was, evaluating p again for each step."""
+    dp = p.derivative()
+    best, best_res = z, abs(p(z))
+    for _ in range(iters):
+        if best_res <= stop:
+            break
+        d = dp(z)
+        if d == 0:
+            break
+        z = z - p(z) / d
+        res = abs(p(z))
+        if res < best_res:
+            best, best_res = z, res
+    return best
+
+
+class TestNewton:
+    def test_same_iterates_as_two_evaluations_per_step(self):
+        # find_roots' calls from the raw eigenvalues, and _polish's calls on
+        # the first two derivatives from the polished roots
+        for d in _ladder_corpus():
+            p = Polynomial(d.coeffs[next(i for i, c in enumerate(d.coeffs) if c != 0) :])
+            tiny = 1e-15 * max(1.0, p.norm_inf)
+            for z0 in np.roots(np.array(p.coeffs[::-1])):
+                z0 = complex(z0)
+                want = _newton_two_evaluations(p, z0, iters=30, stop=tiny)
+                assert factorize._newton(p, z0, iters=30, stop=tiny) == want
+            for z, _ in find_roots(p):
+                for m in (1, 2):
+                    q = p.derivative(m)
+                    assert factorize._newton(q, z) == _newton_two_evaluations(q, z)

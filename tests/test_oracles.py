@@ -7,6 +7,7 @@ from zinv import oracles
 from zinv.closedform import SequenceTable
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
+from zinv.factorize import factor_denominator
 from zinv.oracles import (
     OraclePoles,
     compare_methods,
@@ -230,12 +231,12 @@ class TestCompareMethods:
 
 
 class TestSharedPoleLists:
-    """The oracles factor each of their two denominators once per request."""
+    """The oracles factor one denominator, X(z)/z's, once per request."""
 
-    def test_compare_factors_twice_with_exact_factors(self, factor_calls):
+    def test_compare_factors_once_with_exact_factors(self, factor_calls):
         x, factored = random_rational(random.Random(42))
         compare_methods(x, n_max=50, tol=1e-7, factored=factored)
-        assert len(factor_calls) == 2
+        assert len(factor_calls) == 1
 
     def test_corpus_values_match_standalone_oracles(self):
         # the standalone calls factor for themselves and never see the
@@ -283,12 +284,53 @@ class TestSharedPoleLists:
             alone[name] = str(exc.value)
         del factor_calls[:]
         report = compare_methods(x, n_max=50, tol=1e-7, factored=factored)
-        assert len(factor_calls) == 2
+        assert len(factor_calls) == 1
         assert report.methods["proposed"].values is not None
         assert report.methods["longdiv"].values is not None
         assert report.methods["moreira"].error == alone["moreira"]
         assert report.methods["juric"].error == alone["juric"]
         assert [err for *_, err in report.residue_checks] == [alone["residue"]] * 5
+
+
+class TestPolesOfX:
+    """of_x() is read off X(z)/z's factoring, and equals factoring X's denominator."""
+
+    EDGE = (
+        "z/(z-0.5)",
+        "1/(z^2 (z-0.5))",
+        "z^2/(z (z-0.5)^2)",
+        "z^3/(z^2 (z^2-z+0.5))",
+        "z^2+1",
+        "3",
+        "1/z^3",
+        # a pole this close to the origin merges with z*D's exact z factor
+        "1/(z-0.0000001)",
+        "1/((z-0.0000001)*(z-0.5))",
+        "1/(z^2-0.0000001*z)",
+    )
+
+    @staticmethod
+    def assert_same_poles(x):
+        want = factor_denominator(x.den).pole_list() if x.den.degree >= 1 else []
+        got = OraclePoles(x).of_x()
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(abs(g - w) <= 1e-9 for (g, _), (w, _) in zip(got, want))
+
+    def test_default_corpus(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            self.assert_same_poles(random_rational(rng)[0])
+
+    @pytest.mark.parametrize("expr", EDGE)
+    def test_edge_cases(self, expr):
+        self.assert_same_poles(parse_rational_expr(expr)[0])
+
+    @pytest.mark.parametrize("expr,calls", [("z^2/(z (z-0.5)^2)", 1), ("1/(z-0.0000001)", 2)])
+    def test_second_factoring_only_for_a_merged_origin(self, expr, calls, factor_calls):
+        x, factored = parse_rational_expr(expr)
+        report = compare_methods(x, n_max=50, tol=1e-7, factored=factored)
+        assert report.passed
+        assert len(factor_calls) == calls
 
 
 class TestOverflow:

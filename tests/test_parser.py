@@ -5,7 +5,7 @@ import pytest
 from zinv.corpus import random_rational
 from zinv.errors import ParseError
 from zinv.factorize import LinearFactor, QuadraticFactor
-from zinv.parser import batch_expressions, format_rational, parse_rational_expr
+from zinv.parser import batch_expressions, format_rational, parse_rational_expr, tokenize
 from zinv.polynomial import Polynomial
 
 
@@ -46,6 +46,17 @@ class TestBasicParsing:
     def test_scientific_notation(self):
         x, _ = parse_rational_expr("1e-2*z + 2.5E3")
         assert x.num == Polynomial([2500.0, 0.01])
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("7", 7), ("07", 7), ("7.", 7.0), (".5", 0.5), ("1e3", 1000.0), ("1E3", 1000.0),
+         ("1e-2", 0.01), ("2.5E+3", 2500.0)],
+    )
+    def test_number_literal_types(self, text, value):
+        # an int exactly when the literal has no "." and no exponent
+        tok, end = tokenize(text)
+        assert (tok.kind, tok.value, type(tok.value)) == ("number", value, type(value))
+        assert end.kind == "end"
 
     def test_unary_minus_precedence(self):
         x, _ = parse_rational_expr("-z^2")
