@@ -32,11 +32,12 @@ carried from chunk to chunk so exact integer powers never fill an
 O(N^2)-bit table, and the chunk's term columns are summed in term order.
 That is still this sum, not the denominator's recurrence: the recurrence is
 the long-division oracle, which must stay independent. Overflow has one
-rule, for int and float data alike: OverflowError at the first n whose
-value is not a finite float, naming the term that fails there or, when
-every term is finite, the sum. The supports are gated explicitly: without
-the gates the k=1 formula is nonzero at small n where the true sequence
-must vanish.
+rule and one path, for int and float data alike: a term's column raises
+OverflowError at the first n whose value is not a finite float, or the sum
+does when every term is finite. Validation is the term types' own:
+quad_seq0 and real_pole_seq build the term they evaluate. The supports are
+gated explicitly: without the gates the k=1 formula is nonzero at small n
+where the true sequence must vanish.
 """
 
 from __future__ import annotations
@@ -86,11 +87,8 @@ def _gauss_pow(re, im, m):
 
 
 def _pair(a, b, k):
-    """Validated pole data: int components when both are integer-valued."""
-    if b <= 0:
-        raise ValueError("not a complex pair")
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
+    """Pole data that QuadPole accepts: int components when both are integer-valued."""
+    QuadPole(0.0, 0.0, a, b, k)
     ai, bi = int(a), int(b)
     if a == ai and b == bi:
         return ai, bi
@@ -98,7 +96,8 @@ def _pair(a, b, k):
 
 
 def _s0(a, b, k, ns, im, off):
-    """[s0[n] for n in ns] for a +/- ib from _pair; None if one is not a finite float.
+    """[s0[n] for n in ns] for a +/- ib from _pair; OverflowError, named for
+    n = ns.start, if one is not a finite float.
 
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. Each
     summand is one pass over ns, added to totals that start from int 0 in j
@@ -124,7 +123,7 @@ def _s0(a, b, k, ns, im, off):
             return zeros + vals
     except OverflowError:
         pass
-    return None
+    raise OverflowError(f"quadratic-pole sequence overflows a float at n={ns.start}")
 
 
 def quad_seq0(a, b, k, n):
@@ -134,10 +133,7 @@ def quad_seq0(a, b, k, n):
     """
     a, b = _pair(a, b, k)
     off = max(0, n - 2 * k + 1)
-    vals = _s0(a, b, k, range(n, n + 1), [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)
-    if vals is None:
-        raise OverflowError(f"quadratic-pole sequence overflows a float at n={n}")
-    return vals[0]
+    return _s0(a, b, k, range(n, n + 1), [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)[0]
 
 
 def _pair_chunks(a, b, k, n_end):
@@ -158,8 +154,11 @@ def _pair_chunks(a, b, k, n_end):
         im = im[-keep:]
 
 
-def _real_pole_col(amp, pole, k, ns):
-    """[real_pole_seq(amp, pole, k, n) for n in ns]; None if one is not a finite float."""
+def _real_pole_col(t, ns):
+    """[x[n] for n in ns] of the RealPole t; OverflowError, named for
+    n = ns.start, if one is not a finite float.
+    """
+    amp, pole, k = t.amp, t.pole, t.mult
     lo = min(max(ns.start, k), ns.stop)
     cs = map(math.comb, range(lo - 1, ns.stop - 1), repeat(k - 1))
     try:
@@ -168,23 +167,17 @@ def _real_pole_col(amp, pole, k, ns):
             return [0.0] * (lo - ns.start) + vals
     except OverflowError:
         pass
-    return None
+    raise OverflowError(f"real-pole sequence overflows a float at n={ns.start}")
 
 
 def real_pole_seq(amp, pole, k, n):
     """amp * C(n-1, k-1) * pole**(n-k); zero for n < k; OverflowError if not finite."""
-    if pole == 0:
-        raise ValueError("origin pole must be an impulse")
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
-    vals = _real_pole_col(amp, pole, k, range(n, n + 1))
-    if vals is None:
-        raise OverflowError(f"real-pole sequence overflows a float at n={n}")
-    return vals[0]
+    return _real_pole_col(RealPole(amp, pole, k), range(n, n + 1))[0]
 
 
 def _term_col(t, ns, powers):
-    """t's values for n in ns; None if one is not a finite float.
+    """t's values for n in ns; OverflowError, named for n = ns.start, if one
+    is not a finite float.
 
     powers[t.a, t.b] = (a, b, im, off): the pair from _pair and its Gaussian
     powers for _s0, which reach one past ns for the z-numerator piece.
@@ -192,14 +185,12 @@ def _term_col(t, ns, powers):
     if isinstance(t, Impulse):
         return [t.amp if n == t.index else 0.0 for n in ns]
     if isinstance(t, RealPole):
-        return _real_pole_col(t.amp, t.pole, t.mult, ns)
+        return _real_pole_col(t, ns)
     if isinstance(t, QuadPole):
         a, b, im, off = powers[t.a, t.b]
         # s1[n] = s0[n+1]: s0 one past ns only where s1 is used, so that the
         # last n with a finite value is not taken for a failing one
         s0 = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(t.z_amp)), im, off)
-        if s0 is None:
-            return None
         col = [0.0] * len(ns)
         if t.z_amp:
             col = [v + t.z_amp * s for v, s in zip(col, s0[1:])]
@@ -209,21 +200,13 @@ def _term_col(t, ns, powers):
     raise TypeError(f"not a closed-form term: {t!r}")
 
 
-_KIND = {RealPole: "real-pole", QuadPole: "quadratic-pole"}
-
-
 def _sum(terms, ns, powers):
     """[x[n] for n in ns]: the term columns summed in term order.
 
     OverflowError, named for n = ns.start, if a term or the sum is not a
     finite float: exact for a one-element ns.
     """
-    cols = []
-    for t in terms:
-        col = _term_col(t, ns, powers)
-        if col is None:
-            raise OverflowError(f"{_KIND[type(t)]} sequence overflows a float at n={ns.start}")
-        cols.append(col)
+    cols = [_term_col(t, ns, powers) for t in terms]
     vals = list(map(sum, zip(*cols))) if cols else [0] * len(ns)
     if not all(map(math.isfinite, vals)):
         raise OverflowError(f"closed-form sum overflows a float at n={ns.start}")

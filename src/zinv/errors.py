@@ -22,12 +22,7 @@ class ParseError(ZinvError):
 
 
 class RootFindingError(ZinvError):
-    """Root refinement failed to converge; carries the best iterate found."""
-
-    def __init__(self, message, best=None, residual=None):
-        self.best = best
-        self.residual = residual
-        super().__init__(message)
+    """Root refinement failed to converge; the message names the worst root."""
 
 
 class FactorizationError(ZinvError):

@@ -119,9 +119,7 @@ def find_roots(p):
     if worst > bound:
         bad = max(out, key=lambda zr: zr[1])
         raise RootFindingError(
-            f"root refinement did not converge: residual {worst:.3g} at {bad[0]}",
-            best=bad[0],
-            residual=worst,
+            f"root refinement did not converge: residual {worst:.3g} at {bad[0]}"
         )
     return out
 

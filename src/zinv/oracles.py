@@ -27,7 +27,6 @@ from .closedform import SequenceTable, eval_sequence, invert
 from .errors import ZinvError
 from .identities import _discard_imag, falling_factorial
 from .pfe import _deflate, _divided_by_z, _limit_coeffs, complex_pfe_over_z
-from .polynomial import Polynomial
 
 # what a method may raise and have reported as its error, not propagated
 METHOD_ERRORS = (ZinvError, ValueError, ZeroDivisionError, OverflowError)
@@ -111,8 +110,6 @@ class PoleCoefficients:
 @dataclass(frozen=True)
 class JuricCoefficients:
     poles: tuple
-    num: Polynomial
-    den: Polynomial
 
 
 def juric_coefficients(x, poles=None):
@@ -128,7 +125,7 @@ def juric_coefficients(x, poles=None):
     """
     num, den = _divided_by_z(x)
     if den.degree < 1:
-        return JuricCoefficients((), num, den)
+        return JuricCoefficients(())
     if poles is None:
         poles = factorize.factor_denominator(den).pole_list()
     tables = {}
@@ -153,7 +150,7 @@ def juric_coefficients(x, poles=None):
         PoleCoefficients(zk, m, tables[zk])
         for zk, m in sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
     )
-    return JuricCoefficients(ordered, num, den)
+    return JuricCoefficients(ordered)
 
 
 def juric_series(x, n_max, poles=None):
@@ -300,7 +297,6 @@ class MethodRun:
 
 @dataclass
 class ComparisonReport:
-    source: object
     n_max: int
     tolerance: float
     methods: dict
@@ -337,7 +333,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
         (m for m in ("longdiv", *methods) if methods[m].values is not None), None
     )
 
-    report = ComparisonReport(x, n_max, tol, methods)
+    report = ComparisonReport(n_max, tol, methods)
     if anchor is None:
         report.passed = False
         return report

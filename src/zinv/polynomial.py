@@ -3,20 +3,13 @@
 Coefficients are stored in ascending order: ``coeffs[i]`` multiplies ``z**i``.
 Integer coefficients stay exact through every operation (including division by
 a monic denominator); float and complex coefficients follow ordinary IEEE
-arithmetic.
+arithmetic. Only exact zeros are trimmed: a float coefficient is the rational
+it denotes, however small, so 1e-13 is not the zero polynomial.
 """
 
 from __future__ import annotations
 
 import math
-
-TRIM_EPS = 1e-12
-
-
-def _is_zero(c, eps):
-    if isinstance(c, int):
-        return c == 0
-    return abs(c) <= eps
 
 
 def _fmt_scalar(c):
@@ -30,16 +23,16 @@ def _fmt_scalar(c):
 class Polynomial:
     """Immutable dense polynomial in one variable.
 
-    The leading coefficient is nonzero (trailing near-zeros are trimmed at
-    construction: exactly for ints, within ``trim_eps`` for floats); the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    The leading coefficient is nonzero (trailing exact zeros are trimmed at
+    construction, for every scalar type); the zero polynomial has an empty
+    coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), trim_eps=TRIM_EPS):
+    def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1], trim_eps):
+        while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 

@@ -58,6 +58,8 @@ class TestQuadSeq0:
             quad_seq0(1.0, 0.0, 1, 5)
         with pytest.raises(ValueError, match="not a complex pair"):
             quad_seq0(1.0, -1.0, 1, 5)
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            quad_seq0(1.0, 1.0, 0, 5)
 
     def test_float_pair_against_longdiv(self):
         a, b, k = 0.4, 0.8, 2
@@ -121,6 +123,8 @@ class TestRealPoleSeq:
     def test_origin_pole_rejected(self):
         with pytest.raises(ValueError, match="origin pole must be an impulse"):
             real_pole_seq(1.0, 0.0, 1, 3)
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            real_pole_seq(1.0, 0.5, 0, 3)
 
     @pytest.mark.parametrize(
         "amp, pole, k, n",
@@ -137,6 +141,15 @@ class TestRealPoleSeq:
 
 
 class TestInvert:
+    @pytest.mark.parametrize("c", [1e-13, 3.0, 1e-200])
+    def test_amplitude_scale_survives(self, c):
+        # no coefficient is too small to keep: c/(z-0.5) is c * 0.5**(n-1)
+        e = invert_expression(f"{c!r}/(z-0.5)")
+        assert e.terms == (RealPole(c, 0.5, 1),)
+        want = (0.0, *(c * 0.5 ** (n - 1) for n in range(1, 51)))
+        assert eval_sequence(e, 50).values == want
+        assert longdiv_series(e.source, 50).values == want
+
     def test_unit_quadratic(self):
         x, f = parse_rational_expr("1/(z^2+1)")
         e = invert(x, factored=f)

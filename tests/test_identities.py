@@ -121,5 +121,7 @@ class TestPairConvolution:
                     assert series.values[n] == quad_seq0(a, b, k, n)
 
     def test_rejects_non_pair(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a complex pair"):
             pair_convolution_series(1, 0, 1, 5)
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            pair_convolution_series(1, 1, 0, 5)

@@ -120,8 +120,10 @@ class TestHousekeeping:
         assert Polynomial([]).is_zero
 
     def test_float_trim_eps(self):
-        assert Polynomial([1.0, 5e-13]).degree == 0
-        assert Polynomial([1.0, 5e-13], trim_eps=0.0).degree == 1
+        # only exact zeros are trimmed: a float is the rational it denotes
+        assert Polynomial([1.0, 5e-13]).degree == 1
+        assert Polynomial([1e-200]).degree == 0
+        assert Polynomial([1.0, 0.0, -0.0, 0j]).degree == 0
 
     def test_int_coeffs_survive_monic_division(self):
         num = Polynomial([3, 0, 0, 2, 1])
