@@ -44,7 +44,6 @@ from .identities import (
 )
 from .oracles import (
     ComparisonReport,
-    JuricCoefficients,
     compare_methods,
     juric_coefficients,
     juric_series,
@@ -73,7 +72,6 @@ __all__ = [
     "FactoredDenominator",
     "FactorizationError",
     "Impulse",
-    "JuricCoefficients",
     "LinearFactor",
     "ParseError",
     "Polynomial",

@@ -16,12 +16,8 @@ import numpy as np
 from .errors import FactorizationError, RootFindingError
 from .polynomial import Polynomial
 
-DEFAULT_TOL_CLUSTER = 1e-6
 DEFAULT_TOL_REAL = 1e-8
 EXPAND_RTOL = 1e-8
-# Retry tolerances for repeated roots: eigenvalue scatter of an m-fold root
-# grows like eps**(1/m), far beyond the default cluster width.
-_PROMOTION_TOLS = (1e-4, 1e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,9 @@ def find_roots(p):
     Returns a list of (root, residual) with residual = |p(root)|, sorted by
     real then imaginary part. Structural roots at the origin (exact zero
     low-order coefficients) are returned exactly. Raises RootFindingError if
-    polishing leaves a residual above 1e-6 * max(1, |p|_inf).
+    polishing leaves a root z with residual above max(1e-6, 1e7 * noise),
+    noise being the rounding of p(z) (_eval_noise): a root far from the
+    origin may leave a large residual that is still only rounding.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1 to find roots")
@@ -114,78 +112,85 @@ def find_roots(p):
     out = sorted(
         ((z, abs(p(z))) for z in roots), key=lambda zr: (zr[0].real, zr[0].imag)
     )
-    worst = max(res for _, res in out)
-    bound = 1e-6 * max(1.0, p.norm_inf)
-    if worst > bound:
-        bad = max(out, key=lambda zr: zr[1])
+    bad = [(res, z) for z, res in out if res > max(1e-6, 1e7 * _eval_noise(p, z))]
+    if bad:
+        res, z = max(bad, key=lambda rz: rz[0])
         raise RootFindingError(
-            f"root refinement did not converge: residual {worst:.3g} at {bad[0]}"
+            f"root refinement did not converge: residual {res:.3g} at {z}"
         )
     return out
 
 
-def _cluster(roots, tol_abs):
-    """Greedy clustering of nearby roots; returns (centroid, count) pairs."""
-    clusters = []  # [sum, count]
+def _scatter_radius(p, c, m):
+    """How far rounding moves the computed roots of an m-fold root of p at c.
+
+    Near such a root p(z) ~ p^(m)(c) (z - c)^m / m!, so noise of size
+    _eval_noise(p, c) moves the roots by (m! noise / |p^(m)(c)|)^(1/m).
+    """
+    dm = abs(p.derivative(m)(c))
+    if dm == 0:
+        return 0.0
+    return (math.factorial(m) * _eval_noise(p, c) / dm) ** (1 / m)
+
+
+def _cluster(p, roots):
+    """Group the roots of p into (centroid, count) pairs, one per distinct root.
+
+    Each root, in (real, imag) order, joins its nearest cluster when the
+    merged centroid c of size m is a zero of p within evaluation noise and
+    every member lies within the scatter radius of an m-fold root at c;
+    otherwise it starts a cluster. Exact zeros cluster only with each other.
+    """
+    clusters = []  # member lists
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - cl[0] / cl[1]) <= tol_abs:
-                cl[0] += z
-                cl[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(s / c, c) for s, c in clusters]
+        near = [cl for cl in clusters if (cl[0] == 0) == (z == 0)]
+        if near:
+            cl = min(near, key=lambda members: abs(z - sum(members) / len(members)))
+            m = len(cl) + 1
+            c = (sum(cl) + z) / m
+            if abs(p(c)) <= _eval_noise(p, c):
+                radius = _scatter_radius(p, c, m)
+                if all(abs(w - c) <= radius for w in (*cl, z)):
+                    cl.append(z)
+                    continue
+        clusters.append([z])
+    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
-def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER):
-    """Group raw roots into origin / real / conjugate-pair factors.
+def cluster_and_pair(p, roots):
+    """Group the raw roots of p into origin / real / conjugate-pair factors.
 
-    Roots within tol_cluster (relative to the largest root modulus) merge with
-    summed multiplicity; near-real locations snap to the axis, near-zero ones
-    to the origin; the rest must pair with their conjugates (b > 0 kept).
+    Roots of one multiple root merge with summed multiplicity (_cluster);
+    near-real locations snap to the axis, near-zero ones to the origin; the
+    rest must pair with their conjugates (b > 0 kept). The scale is p's
+    leading coefficient.
     """
     roots = [complex(z) for z in roots]
     if not roots:
-        return FactoredDenominator(0, (), (), 1)
+        return FactoredDenominator(0, (), (), p.leading)
     scale = max(1.0, max(abs(z) for z in roots))
-    merged = _cluster(roots, tol_cluster * scale)
 
     origin = 0
     reals = []
     upper = []
     lower = []
-    for z, m in merged:
+    for z, m in _cluster(p, roots):
         if abs(z) <= DEFAULT_TOL_REAL:
             origin += m
         elif abs(z.imag) <= DEFAULT_TOL_REAL * (1 + abs(z)):
-            reals.append([z.real, m])
+            reals.append(LinearFactor(z.real, m))
         elif z.imag > 0:
             upper.append((z, m))
         else:
             lower.append((z, m))
 
-    # conjugate pairs that individually snapped to the axis can collide
-    reals.sort(key=lambda rm: rm[0])
-    dedup = []
-    for r, m in reals:
-        if dedup and abs(r - dedup[-1][0]) <= tol_cluster * scale:
-            dedup[-1][1] += m
-        else:
-            dedup.append([r, m])
-
-    pair_tol = max(tol_cluster, DEFAULT_TOL_REAL) * scale * 4
+    pair_tol = 4 * DEFAULT_TOL_REAL * scale
     quads = []
-    lower = list(lower)
     for z, m in upper:
-        match = None
-        for i, (w, mw) in enumerate(lower):
-            if abs(w.conjugate() - z) <= pair_tol:
-                match = i
-                break
-        if match is None:
+        match = [i for i, (w, _) in enumerate(lower) if abs(w.conjugate() - z) <= pair_tol]
+        if not match:
             raise FactorizationError(f"conjugate pairing failed: unpaired root {z}")
-        w, mw = lower.pop(match)
+        w, mw = lower.pop(match[0])
         if mw != m:
             raise FactorizationError(
                 f"conjugate pairing failed: multiplicity mismatch at {z} ({m} vs {mw})"
@@ -200,9 +205,9 @@ def cluster_and_pair(roots, tol_cluster=DEFAULT_TOL_CLUSTER):
 
     return FactoredDenominator(
         origin,
-        tuple(LinearFactor(r, m) for r, m in dedup),
+        tuple(sorted(reals, key=lambda f: f.r)),
         tuple(sorted(quads, key=lambda f: (f.a, f.b))),
-        1,
+        p.leading,
     )
 
 
@@ -298,58 +303,33 @@ def _structure_ok(d, f):
     return True
 
 
-def _location_count(f):
-    # quadratics hold two pole locations; counting them as such makes a
-    # merged double real root beat the near-degenerate tiny-b pair shape
-    return (1 if f.origin_mult else 0) + len(f.linears) + 2 * len(f.quadratics)
-
-
 def factor_denominator(d):
     """Recover the full factor structure of a real polynomial numerically.
 
-    Composes find_roots and cluster_and_pair over a ladder of cluster widths
-    (repeated roots scatter like eps**(1/m), beyond the default width),
-    polishes repeated locations, and accepts a candidate only when it both
-    re-expands to d (relative error <= 1e-8) and passes the multiple-root
-    residual test. Among acceptable candidates the most merged one wins:
-    a spurious merge of genuinely distinct roots fails the residual test.
-    A width whose clustering equals an earlier one's is skipped: it would
-    polish to the same candidate, which the earlier rung wins.
+    Composes find_roots and cluster_and_pair, whose cluster widths are the
+    scatter radii of d's own multiple roots, polishes repeated locations, and
+    accepts that one candidate only when it both re-expands to d (relative
+    error <= 1e-8) and passes the multiple-root residual test.
     """
     if d.degree < 1:
         raise ValueError("need degree >= 1 to factor")
     if not d.is_real():
         raise ValueError("real coefficients required")
-    lead = d.leading
     roots = [z for z, _ in find_roots(d)]
-
-    candidates = []
-    tried = []
-    best_err = math.inf
-    for order, tc in enumerate((DEFAULT_TOL_CLUSTER, *_PROMOTION_TOLS)):
-        try:
-            skel = cluster_and_pair(roots, tc)
-        except FactorizationError:
-            continue
-        if skel in tried:
-            continue
-        tried.append(skel)
-        cand = FactoredDenominator(
-            skel.origin_mult, skel.linears, skel.quadratics, lead
-        )
+    try:
+        cand = cluster_and_pair(d, roots)
+    except FactorizationError:  # conjugate pairing failed: no candidate
+        err = math.inf
+    else:
         cand = _polish(d, cand)
         err = _expand_error(d, cand)
-        best_err = min(best_err, err)
-        if err <= EXPAND_RTOL and _structure_ok(d, cand):
-            candidates.append((_location_count(cand), order, cand))
-    if not candidates:
-        if best_err <= EXPAND_RTOL:  # that candidate re-expanded: the residual test rejected it
-            raise FactorizationError(
-                f"factor recovery failed: a candidate re-expands to relative error "
-                f"{best_err:.3g} but fails the multiple-root residual test"
-            )
+    if err > EXPAND_RTOL:
         raise FactorizationError(
-            f"factor recovery failed: best relative expansion error {best_err:.3g}"
+            f"factor recovery failed: best relative expansion error {err:.3g}"
         )
-    return min(candidates)[2]
-
+    if not _structure_ok(d, cand):
+        raise FactorizationError(
+            f"factor recovery failed: a candidate re-expands to relative error "
+            f"{err:.3g} but fails the multiple-root residual test"
+        )
+    return cand

@@ -107,11 +107,6 @@ class PoleCoefficients:
     coeffs: tuple  # c_0 .. c_{mult-1}
 
 
-@dataclass(frozen=True)
-class JuricCoefficients:
-    poles: tuple
-
-
 def juric_coefficients(x, poles=None):
     """Coefficient tables for the recursive scheme applied to Y = X(z)/z.
 
@@ -125,7 +120,7 @@ def juric_coefficients(x, poles=None):
     """
     num, den = _divided_by_z(x)
     if den.degree < 1:
-        return JuricCoefficients(())
+        return ()
     if poles is None:
         poles = factorize.factor_denominator(den).pole_list()
     tables = {}
@@ -146,11 +141,10 @@ def juric_coefficients(x, poles=None):
                 acc -= cs[l] * falling_factorial(j, l) * dk.derivative(j - l)(zk)
             cs.append(acc / (math.factorial(j) * dkz))
         tables[zk] = tuple(cs)
-    ordered = tuple(
+    return tuple(
         PoleCoefficients(zk, m, tables[zk])
         for zk, m in sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
     )
-    return JuricCoefficients(ordered)
 
 
 def juric_series(x, n_max, poles=None):
@@ -160,9 +154,8 @@ def juric_series(x, n_max, poles=None):
     z_k = 0 term replaced by c_{k, m_k-1-j} delta[n-j]. poles is as for
     juric_coefficients. Overflow is reported as in moreira_series.
     """
-    table = juric_coefficients(x, poles=poles)
     vals = [0j] * (n_max + 1)
-    for entry in table.poles:
+    for entry in juric_coefficients(x, poles=poles):
         zk, m, cs = entry.pole, entry.mult, entry.coeffs
         for j in range(m):
             c = cs[m - 1 - j]
@@ -223,8 +216,7 @@ class OraclePoles:
     """The oracles' pole lists for one input, from one factoring.
 
     over_z() is the pole list of X(z)/z's denominator (moreira, juric), the
-    one factored; of_x() is X's, read off it (_poles_of_x names the one case
-    that factors X's too), and residue_parts() X's
+    one factored; of_x() is X's, read off it, and residue_parts() X's
     principal parts at those poles (residue). A constant denominator has no
     poles. A factoring error is kept and raised at each use, where the oracle
     would have raised it.
@@ -232,13 +224,11 @@ class OraclePoles:
 
     def __init__(self, x):
         den = _divided_by_z(x)[1]
-        self.over_z = _once(lambda: _poles(den))
+        self.over_z = _once(
+            lambda: factorize.factor_denominator(den).pole_list() if den.degree >= 1 else ()
+        )
         self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
         self.residue_parts = _once(lambda: _principal_parts(x, self.of_x()))
-
-
-def _poles(p):
-    return factorize.factor_denominator(p).pole_list() if p.degree >= 1 else ()
 
 
 def _poles_of_x(x, den, over_z):
@@ -246,14 +236,10 @@ def _poles_of_x(x, den, over_z):
 
     The two differ only at the origin, where X's multiplicity is X(z)/z's
     moved by the z factors the division added and cancelled; an entry that
-    reaches 0 is dropped. When the factoring merged one of den's exact z
-    factors with a tiny pole away from the origin, there is no origin entry
-    to move, and X's denominator is factored itself.
+    reaches 0 is dropped. The factoring keeps den's exact z factors at the
+    origin, so there is always an origin entry to move.
     """
-    origin = sum(m for z, m in over_z if z == 0)
-    if origin < next(i for i, c in enumerate(den.coeffs) if c != 0):
-        return _poles(x.den)
-    origin += x.den.degree - den.degree
+    origin = sum(m for z, m in over_z if z == 0) + x.den.degree - den.degree
     poles = [(z, m) for z, m in over_z if z != 0]
     if origin:
         poles.append((0j, origin))

@@ -150,6 +150,14 @@ class TestTable:
         assert captured.out == ""
         assert captured.err == "error: longdiv sequence overflows a float at n=686\n"
 
+    def test_far_pole_of_a_rounded_quadratic(self, capsys):
+        # 0.1+0.2-0.3 is 5.55e-17, not 0: a pole at -1.8e16, whose residual
+        # after polishing is rounding at that modulus, not a failed root
+        expr = "1/(z^2*(0.1+0.2-0.3) + z + 1)"
+        assert main(["table", expr, "--n", "4", "--method", "all"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()]
+        assert rows[2] == ["2"] + ["1.80143985095e+16"] * 4
+
     def test_residue_factors_once(self, factor_calls, capsys):
         expr = "1/((z-0.5)^2 (z^2-z+0.5))"
         assert main(["table", expr, "--n", "40", "--method", "residue"]) == 0
@@ -197,10 +205,10 @@ class TestCompare:
         assert "10 cases" in out and "PASS" in out
 
     def test_errored_method_fails(self, capsys):
-        # numeric factoring of the expanded 8-fold pole fails, so moreira,
-        # juric and every residue check error; the closed form and long
-        # division alone do not make a pass
-        assert main(["compare", "1/(z-1.3)^8", "--format", "json"]) == 1
+        # numeric factoring of the expanded triple poles 0.01 apart fails, so
+        # moreira, juric and every residue check error; the closed form and
+        # long division alone do not make a pass
+        assert main(["compare", "1/((z-1)^3 (z-1.01)^3)", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
         assert doc["methods"]["moreira"]["error"] is not None
