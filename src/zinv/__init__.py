@@ -45,7 +45,6 @@ from .identities import (
 from .oracles import (
     ComparisonReport,
     compare_methods,
-    juric_coefficients,
     juric_series,
     longdiv_series,
     moreira_series,
@@ -58,7 +57,6 @@ from .pfe import (
     RealPartialFraction,
     complex_pfe_over_z,
     real_pfe,
-    recombine,
 )
 from .polynomial import Polynomial
 
@@ -96,7 +94,6 @@ __all__ = [
     "internal_summation_holds",
     "invert",
     "invert_expression",
-    "juric_coefficients",
     "juric_series",
     "longdiv_series",
     "moreira_series",
@@ -105,7 +102,6 @@ __all__ = [
     "quad_seq0",
     "real_pfe",
     "real_pole_seq",
-    "recombine",
     "render",
     "residue_value",
     "surjection_count",

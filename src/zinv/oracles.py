@@ -4,10 +4,14 @@ Four routes that share no machinery with the closed-form path:
 
 * long division of the power series in 1/z (the anchor: no root finding,
   no trigonometry);
-* complex partial fractions of X(z)/z, inverted term by term;
-* the recursive-coefficient scheme on X(z)/z (one coefficient table per
-  distinct pole, no expansion);
+* complex partial fractions of X(z)/z, inverted term by term in cosine form;
+* the recursive-coefficient scheme on X(z)/z, inverted in complex powers;
 * per-n residue sums of X(z) z^(n-1).
+
+The last three read principal parts off one table each per request
+(pfe.principal_parts on the oracles' own pole product): moreira and juric
+share X(z)/z's, so they differ only in how they evaluate it; residue reads
+X's.
 
 SERIES_METHODS is the one method list: compare_methods, the CLI's table
 columns and its --method choices all read it. The oracles factor one
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 from . import factorize
 from .closedform import SequenceTable, eval_sequence, invert
 from .errors import ZinvError
-from .identities import _discard_imag, falling_factorial
-from .pfe import _deflate, _divided_by_z, _limit_coeffs, complex_pfe_over_z
+from .identities import _discard_imag
+from .pfe import _divided_by_z, complex_pfe_over_z, principal_parts
 
 # what a method may raise and have reported as its error, not propagated
 METHOD_ERRORS = (ZinvError, ValueError, ZeroDivisionError, OverflowError)
@@ -71,9 +75,10 @@ def moreira_series(x, n_max, poles=None):
     poles at 0 give shifted impulses, a pole p of multiplicity q gives
     coeff * C(n, q-1) * p^(n-q+1); conjugate pairs combine into
     2|c| r^(n-q+1) C(n, q-1) cos((n-q+1)theta + phi) with phi = arg(c).
-    poles is as for complex_pfe_over_z. A term overflowing at n makes x[n] NaN.
+    The expansion is poles.pfe_over_z(), poles the request's OraclePoles
+    (OraclePoles(x) when None). A term overflowing at n makes x[n] NaN.
     """
-    cpf = complex_pfe_over_z(x, poles=poles)
+    cpf = (OraclePoles(x) if poles is None else poles).pfe_over_z()
     vals = [0j] * (n_max + 1)
     for t in cpf.terms:
         pole, j, coeff = t.pole, t.j, t.coeff
@@ -98,83 +103,29 @@ def moreira_series(x, n_max, poles=None):
     return SequenceTable(out)
 
 
-@dataclass(frozen=True)
-class PoleCoefficients:
-    """Per-pole coefficient table of the recursive scheme on X(z)/z."""
-
-    pole: complex
-    mult: int
-    coeffs: tuple  # c_0 .. c_{mult-1}
-
-
-def juric_coefficients(x, poles=None):
-    """Coefficient tables for the recursive scheme applied to Y = X(z)/z.
-
-    For each distinct root z_k (multiplicity m) of Y's denominator, with
-    D_k the denominator deflated by (z - z_k)^m:
-
-        c_j = (N^(j)(z_k) - sum_{l<j} c_l (j)_l D_k^(j-l)(z_k)) / (j! D_k(z_k))
-
-    where (j)_l is the falling factorial. Tables at conjugate poles are
-    mirrored exactly. poles is as for complex_pfe_over_z.
-    """
-    num, den = _divided_by_z(x)
-    if den.degree < 1:
-        return ()
-    if poles is None:
-        poles = factorize.factor_denominator(den).pole_list()
-    tables = {}
-    # upper-half poles first so lower-half tables mirror them exactly
-    for zk, m in sorted(poles, key=lambda pm: (pm[0].real, -pm[0].imag)):
-        if zk.imag < 0 and zk.conjugate() in tables:
-            src = tables[zk.conjugate()]
-            tables[zk] = tuple(c.conjugate() for c in src)
-            continue
-        dk = _deflate(den, zk, m)
-        dkz = dk(zk)
-        if dkz == 0:
-            raise ZinvError("deflation inconsistent")
-        cs = []
-        for j in range(m):
-            acc = num.derivative(j)(zk)
-            for l in range(j):
-                acc -= cs[l] * falling_factorial(j, l) * dk.derivative(j - l)(zk)
-            cs.append(acc / (math.factorial(j) * dkz))
-        tables[zk] = tuple(cs)
-    return tuple(
-        PoleCoefficients(zk, m, tables[zk])
-        for zk, m in sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
-    )
-
-
 def juric_series(x, n_max, poles=None):
-    """Inverse transform from the recursive coefficient tables.
+    """Inverse transform by the recursive-coefficient scheme on X(z)/z.
 
-    x[n] = sum_k sum_{j=0}^{m_k-1} c_{k, m_k-1-j} C(n,j) z_k^(n-j), with the
-    z_k = 0 term replaced by c_{k, m_k-1-j} delta[n-j]. poles is as for
-    juric_coefficients. Overflow is reported as in moreira_series.
+    At a pole z_k of multiplicity m the scheme's coefficients are
+    c_j = A_{m-j}, read off the same principal parts A_j/(z-z_k)^j as
+    moreira_series (poles as there), and inverted in complex powers:
+    x[n] = sum_k sum_{j=1}^{m} A_j C(n, j-1) z_k^(n-j+1), the z_k = 0 term
+    being A_j delta[n-j+1]. Overflow is reported as in moreira_series.
     """
     vals = [0j] * (n_max + 1)
-    for entry in juric_coefficients(x, poles=poles):
-        zk, m, cs = entry.pole, entry.mult, entry.coeffs
-        for j in range(m):
-            c = cs[m - 1 - j]
-            if zk == 0:
-                if 0 <= j <= n_max:
-                    vals[j] += c
-                continue
-            for n in range(j, n_max + 1):  # C(n, j) is 0 below
-                try:
-                    vals[n] += c * math.comb(n, j) * zk ** (n - j)
-                except OverflowError:
-                    vals[n] = math.nan
+    for t in (OraclePoles(x) if poles is None else poles).pfe_over_z().terms:
+        zk, j, a = t.pole, t.j, t.coeff
+        if zk == 0:
+            if j - 1 <= n_max:
+                vals[j - 1] += a
+            continue
+        for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
+            try:
+                vals[n] += a * math.comb(n, j - 1) * zk ** (n - j + 1)
+            except OverflowError:
+                vals[n] = math.nan
     out = tuple(_discard_imag(_finite("juric", n, v), "juric") for n, v in enumerate(vals))
     return SequenceTable(out)
-
-
-def _principal_parts(x, poles):
-    """[(z_k, m, {j: A_j})]: X's principal part sum_j A_j/(z-z_k)^j at each pole."""
-    return [(zk, m, _limit_coeffs(x.num, _deflate(x.den, zk, m), zk, m)) for zk, m in poles]
 
 
 def residue_value(x, n, poles=None, parts=None):
@@ -191,11 +142,12 @@ def residue_value(x, n, poles=None, parts=None):
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
     if parts is None:
-        parts = _principal_parts(x, OraclePoles(x).of_x() if poles is None else poles)
+        poles = OraclePoles(x).of_x() if poles is None else poles
+        parts = principal_parts(x.num, x.den.leading, poles)
     total = 0j
     try:
-        for zk, m, coeffs in parts:
-            for l in range(min(m, n)):
+        for zk, coeffs in parts.items():
+            for l in range(min(len(coeffs), n)):
                 total += coeffs[l + 1] * math.comb(n - 1, l) * zk ** (n - 1 - l)
     except OverflowError:
         total = math.nan
@@ -213,10 +165,11 @@ def within_bound(dev, bound):
 
 
 class OraclePoles:
-    """The oracles' pole lists for one input, from one factoring.
+    """The oracles' poles and principal-part tables for one input, from one factoring.
 
-    over_z() is the pole list of X(z)/z's denominator (moreira, juric), the
-    one factored; of_x() is X's, read off it, and residue_parts() X's
+    over_z() is the pole list of X(z)/z's denominator, the one factored, and
+    pfe_over_z() the expansion of X(z)/z at those poles (moreira, juric).
+    of_x() is X's pole list, read off over_z(), and residue_parts() X's
     principal parts at those poles (residue). A constant denominator has no
     poles. A factoring error is kept and raised at each use, where the oracle
     would have raised it.
@@ -227,8 +180,9 @@ class OraclePoles:
         self.over_z = _once(
             lambda: factorize.factor_denominator(den).pole_list() if den.degree >= 1 else ()
         )
+        self.pfe_over_z = _once(lambda: complex_pfe_over_z(x, poles=self.over_z()))
         self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
-        self.residue_parts = _once(lambda: _principal_parts(x, self.of_x()))
+        self.residue_parts = _once(lambda: principal_parts(x.num, x.den.leading, self.of_x()))
 
 
 def _poles_of_x(x, den, over_z):
@@ -268,8 +222,8 @@ def _once(compute):
 SERIES_METHODS = {
     "proposed": lambda x, n, factored, poles: eval_sequence(invert(x, factored=factored), n).values,
     "longdiv": lambda x, n, factored, poles: longdiv_series(x, n).values,
-    "moreira": lambda x, n, factored, poles: moreira_series(x, n, poles=poles.over_z()).values,
-    "juric": lambda x, n, factored, poles: juric_series(x, n, poles=poles.over_z()).values,
+    "moreira": lambda x, n, factored, poles: moreira_series(x, n, poles=poles).values,
+    "juric": lambda x, n, factored, poles: juric_series(x, n, poles=poles).values,
 }
 _RESIDUE_BASE = (1, 5, 17, 33, 50)
 

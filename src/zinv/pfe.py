@@ -8,8 +8,9 @@ so structurally zero coefficients come out exactly zero. Each real partial
 fraction is read off as one closed-form term (Impulse, RealPole, QuadPole;
 closedform holds their sequence formulas); the condition estimate is a
 cancellation bound read off the terms alone.
-The complex expansion of X(z)/z uses the classical residue/limit formulas,
-implemented as repeated derivatives of the deflated rational.
+The complex expansion of X(z)/z (the oracles' route) reads each pole's
+principal part off the product of the given poles, as a quotient of Taylor
+series; X's own principal parts come from the same function.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ class ComplexTerm:
 class ComplexPartialFraction:
     terms: tuple
     poly_part: Polynomial
-    # worst conjugate-closure violation seen before enforcement, relative
-    max_asymmetry: float = 0.0
 
 
 def _factor(t):
@@ -274,36 +273,6 @@ def real_pfe(x, f):
     return RealPartialFraction(poly_part, tuple(terms), condition, warnings)
 
 
-def _deflate(p, z0, m):
-    """Divide p by (z - z0)**m, discarding remainders (synthetic division)."""
-    cs = list(p.coeffs)
-    for _ in range(m):
-        out = [0] * (len(cs) - 1)
-        acc = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            out[i] = acc
-            acc = cs[i] + acc * z0
-        cs = out
-    return Polynomial(cs)
-
-
-def _limit_coeffs(p, q, z0, m):
-    """{j: A_j} of p / (q (z - z0)**m) at z0, q(z0) != 0, by the limit formulas.
-
-    A_{m-i} = g^(i)(z0)/i! = P_i(z0) / q(z0)**(i+1) / i! with g = p/q; the
-    quotient rule runs on g^(i) = P_i/q**(i+1) so degrees grow linearly.
-    """
-    coeffs = {}
-    fact, e = 1, 1
-    for i in range(m):
-        if i:
-            fact *= i
-            p = p.derivative() * q - (p * q.derivative()) * e
-            e += 1
-        coeffs[m - i] = p(z0) / (q(z0) ** e) / fact
-    return coeffs
-
-
 def _divided_by_z(x):
     """Numerator/denominator of X(z)/z with shared z factors cancelled."""
     num, den = x.num, x.den.shift(1)
@@ -318,73 +287,73 @@ def _divided_by_z(x):
     return num, den
 
 
+def _taylor(p, z0, m):
+    """p's first m Taylor coefficients at z0, by m rounds of synthetic division."""
+    cs, out = p.coeffs, []
+    for _ in range(m):
+        acc, quo = 0, []
+        for c in reversed(cs):
+            acc = acc * z0 + c
+            quo.append(acc)
+        out.append(acc)  # the remainder; quo[:-1] is the quotient, highest first
+        cs = quo[-2::-1]
+    return out
+
+
+def principal_parts(num, lead, poles):
+    """{z_k: {j: A_j}}: the principal part sum_j A_j/(z-z_k)^j of num/d at each pole.
+
+    d = lead * prod_i (z-z_i)^m_i is the product of poles, a conjugate-closed
+    list of distinct (z_k, m_k), so the parts belong to the poles given, not
+    to a denominator they only approximate. With D_k = d/(z-z_k)^m_k (a pair
+    not holding z_k enters as its real quadratic z^2 - 2Re(z_i) z + |z_i|^2),
+    A_{m-i} = g_i, the i-th Taylor coefficient of num/D_k at z_k: the power
+    series division g_i = (p_i - sum_{l<i} g_l q_{i-l}) / q_0 of num's and
+    D_k's Taylor coefficients. A real pole's part is real; a lower-half
+    pole's is the exact conjugate of its partner's.
+    """
+    parts = {}
+    for zk, m in sorted(poles, key=lambda pm: -pm[0].imag):  # upper half first
+        if zk.imag < 0:
+            parts[zk] = {j: a.conjugate() for j, a in parts[zk.conjugate()].items()}
+            continue
+        dk = Polynomial((lead,))
+        for z, mult in poles:
+            if z.imag == 0 and z != zk:
+                dk *= Polynomial((-z.real, 1)) ** mult
+            elif z.imag > 0 and z != zk:
+                dk *= Polynomial((z.real * z.real + z.imag * z.imag, -2 * z.real, 1)) ** mult
+            elif z.imag < 0 and z == zk.conjugate():
+                dk *= Polynomial((-z, 1)) ** mult
+        z0 = zk if zk.imag else zk.real
+        p, q = _taylor(num, z0, m), _taylor(dk, z0, m)
+        g = []
+        for i in range(m):
+            g.append((p[i] - sum(g[l] * q[i - l] for l in range(i))) / q[0])
+        parts[zk] = {m - i: gi for i, gi in enumerate(g)}
+    return {zk: parts[zk] for zk, _ in poles}
+
+
 def complex_pfe_over_z(x, poles=None):
     """Full complex partial fraction expansion of Y(z) = X(z)/z.
 
-    Highest-multiplicity coefficients come from the limit formulas
-    A_{m-i} = (1/i!) d^i/dz^i [(z - z_k)^m Y(z)] at z_k, evaluated by
-    repeated quotient-rule differentiation of the deflated rational.
-    Conjugate closure is enforced by averaging paired coefficients. poles
-    is factor_denominator(_divided_by_z(x)[1]).pole_list(), found here if None.
+    The terms are principal_parts of Y's remainder at poles, Y's pole list
+    (factor_denominator(_divided_by_z(x)[1]).pole_list(), found here if
+    None), in pole order and by power.
     """
     num, den = _divided_by_z(x)
     poly_part, rem = divmod(num, den)
 
     if den.degree < 1:
-        return ComplexPartialFraction((), poly_part, 0.0)
+        return ComplexPartialFraction((), poly_part)
 
     if poles is None:
         poles = factor_denominator(den).pole_list()
 
-    raw = {}
-    for zk, m in poles:
-        raw[zk] = (m, _limit_coeffs(rem, _deflate(den, zk, m), zk, m))
-
-    # enforce conjugate closure: real poles get real coefficients, paired
-    # poles get exactly conjugate ones
-    asym = 0.0
-    terms = []
-    for zk in sorted(raw, key=lambda w: (w.real, w.imag)):
-        m, coeffs = raw[zk]
-        if zk.imag == 0:
-            for j in range(1, m + 1):
-                c = coeffs[j]
-                asym = max(asym, abs(c.imag) / max(1.0, abs(c)))
-                terms.append(ComplexTerm(zk, j, complex(c.real, 0.0)))
-        elif zk.imag > 0:
-            partner = raw[zk.conjugate()][1]
-            for j in range(1, m + 1):
-                c, cp = coeffs[j], partner[j]
-                asym = max(asym, abs(c - cp.conjugate()) / max(1.0, abs(c)))
-                avg = (c + cp.conjugate()) / 2
-                terms.append(ComplexTerm(zk, j, avg))
-                terms.append(ComplexTerm(zk.conjugate(), j, avg.conjugate()))
-
+    terms = [
+        ComplexTerm(zk, j, a)
+        for zk, part in principal_parts(rem, den.leading, poles).items()
+        for j, a in part.items()
+    ]
     terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.j))
-    return ComplexPartialFraction(tuple(terms), poly_part, asym)
-
-
-def recombine(pf):
-    """Sum a real expansion back over the common denominator.
-
-    Self-check oracle for real_pfe: the result must equal the source
-    rational function coefficient-wise after normalization. It multiplies
-    the terms' own factors out in floats, sharing nothing with real_pfe's
-    integer expansion.
-    """
-    powers = _factor_powers(pf.terms)
-
-    def cofactor(target, j):
-        """Product of all factors, target's power lowered by j."""
-        return math.prod(
-            (phi ** (k - j if phi == target else k) for phi, k in powers.items()),
-            start=ONE,
-        )
-
-    den = cofactor(None, 0)
-    num = pf.poly_part * den
-    for t in pf.terms:
-        base = cofactor(*_factor(t))
-        for i, amp in enumerate(reversed(_amps(t))):
-            num = num + base.shift(i) * amp
-    return RationalFunction(num, den)
+    return ComplexPartialFraction(tuple(terms), poly_part)

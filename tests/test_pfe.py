@@ -18,11 +18,13 @@ from zinv.pfe import (
     QuadPole,
     RationalFunction,
     RealPole,
+    _amps,
+    _factor,
+    _factor_powers,
     complex_pfe_over_z,
     real_pfe,
-    recombine,
 )
-from zinv.polynomial import Polynomial
+from zinv.polynomial import ONE, Polynomial
 
 
 def rf(num, den):
@@ -32,6 +34,41 @@ def rf(num, den):
 def poly_close(p, q, tol):
     hi = max(p.degree, q.degree)
     return all(abs(p.coeff(i) - q.coeff(i)) <= tol for i in range(hi + 1))
+
+
+def recombine(pf):
+    """Sum a real expansion back over the common denominator.
+
+    Self-check oracle for real_pfe: the result must equal the source
+    rational function coefficient-wise after normalization. It multiplies
+    the terms' own factors out in floats, sharing nothing with real_pfe's
+    integer expansion.
+    """
+    powers = _factor_powers(pf.terms)
+
+    def cofactor(target, j):
+        """Product of all factors, target's power lowered by j."""
+        return math.prod(
+            (phi ** (k - j if phi == target else k) for phi, k in powers.items()),
+            start=ONE,
+        )
+
+    den = cofactor(None, 0)
+    num = pf.poly_part * den
+    for t in pf.terms:
+        base = cofactor(*_factor(t))
+        for i, amp in enumerate(reversed(_amps(t))):
+            num = num + base.shift(i) * amp
+    return RationalFunction(num, den)
+
+
+def assert_exact_conjugates(cp):
+    """Each lower-half pole's coefficients are its partner's, conjugated exactly."""
+    by_key = {(t.pole, t.j): t.coeff for t in cp.terms}
+    upper = {(pole, j) for pole, j in by_key if pole.imag > 0}
+    assert {(p.conjugate(), j) for p, j in upper} == {k for k in by_key if k[0].imag < 0}
+    for pole, j in upper:
+        assert by_key[(pole.conjugate(), j)] == by_key[(pole, j)].conjugate()
 
 
 class TestRealPfe:
@@ -135,7 +172,7 @@ class TestComplexPfeOverZ:
         assert got[0j] == 1.0
         assert got[1j] == -0.5
         assert got[-1j] == -0.5
-        assert cp.max_asymmetry <= 1e-8
+        assert_exact_conjugates(cp)
 
     def test_shared_z_cancels(self):
         # z/(z-1): Y = 1/(z-1), one simple pole with unit coefficient
@@ -156,13 +193,8 @@ class TestComplexPfeOverZ:
         for _ in range(20):
             x, _ = random_rational(rng)
             cp = complex_pfe_over_z(x)
-            by_key = {(t.pole, t.j): t.coeff for t in cp.terms}
-            for (pole, j), c in by_key.items():
-                if pole.imag != 0:
-                    assert by_key[(pole.conjugate(), j)] == c.conjugate()
-                else:
-                    assert c.imag == 0.0
-            assert cp.max_asymmetry <= 1e-8
+            assert_exact_conjugates(cp)
+            assert all(t.coeff.imag == 0.0 for t in cp.terms if t.pole.imag == 0)
 
 
 class TestRecombine:

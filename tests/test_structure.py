@@ -1,0 +1,42 @@
+"""Guards on the package's structure, read from the source without running it."""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# what oracles may take from the closed-form path's modules: the registry's
+# `proposed` entry and the complex route of X(z)/z
+ORACLE_IMPORTS = {
+    "closedform": {"SequenceTable", "eval_sequence", "invert"},
+    "pfe": {"_divided_by_z", "complex_pfe_over_z", "principal_parts"},
+}
+
+
+def test_oracles_import_only_their_own_route():
+    tree = ast.parse((ROOT / "src/zinv/oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.name for alias in node.names}
+            if node.module is None:  # from . import module
+                assert not names & ORACLE_IMPORTS.keys(), names
+            elif node.module in ORACLE_IMPORTS:
+                assert names <= ORACLE_IMPORTS[node.module], (node.module, names)
+
+
+def test_traced_layer_functions_exist():
+    # bench/spans.py wraps these by name; a rename must fail here, not only
+    # in a traced bench run
+    tree = ast.parse((ROOT / "bench/spans.py").read_text())
+    (layers,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets)
+    )
+    assert layers
+    for layer, names in layers.items():
+        module = importlib.import_module(f"zinv.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"zinv.{layer}.{name}"
