@@ -119,16 +119,18 @@ def cmd_table(args):
 def _print_table(args, doc):
     # values[i] is x[n_start + i]: one number, or a row of one per method
     multi = len(doc["columns"]) > 2
-    rows = [[n, *(v if multi else [v])] for n, v in enumerate(doc["values"], doc["n_start"])]
+    rows = enumerate(doc["values"], doc["n_start"])
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(doc["columns"])
-        writer.writerows(rows)
+        writer.writerows([n, *v] if multi else [n, v] for n, v in rows)
         return
-    if args.batch:
-        print(f"# {doc['input']}")
-    for n, *vals in rows:
-        print(" ".join([str(n), *(f"{v:.12g}" for v in vals)]))
+    # the whole document in one write, not one print per row
+    if multi:
+        lines = [f"{n} {' '.join([f'{x:.12g}' for x in v])}\n" for n, v in rows]
+    else:
+        lines = [f"{n} {v:.12g}\n" for n, v in rows]
+    sys.stdout.write((f"# {doc['input']}\n" if args.batch else "") + "".join(lines))
 
 
 def _report_dict(text, report):
@@ -287,6 +289,43 @@ def _print_identities(args, doc):
     print("PASS" if doc["passed"] else "FAIL")
 
 
+def _json_text(docs):
+    """json.dumps(docs, indent=2) for a non-empty list of documents, byte for byte."""
+    return "[\n  " + ",\n  ".join(_json_doc(doc, "\n  ") for doc in docs) + "\n]"
+
+
+def _json_doc(doc, pad="\n"):
+    """json.dumps(doc, indent=2) for a document nested at pad (a newline and
+    its indent), byte for byte.
+
+    A non-empty flat list of scalars that is one of doc's values (a table's
+    values, a poly_part) is written by the C encoder, whose separators put
+    each item on its own line; json.dumps with an indent runs the Python
+    encoder, about three times slower per value. Everything else goes
+    through json.dumps(indent=2) as a whole.
+    """
+    inner = pad + "  "
+    if not any(map(_flat, doc.values())):
+        return json.dumps(doc, indent=2).replace("\n", pad)
+    items = []
+    for key, value in doc.items():
+        if _flat(value):
+            body = json.dumps(value, separators=("," + inner + "  ", ": "))
+            text = "[" + inner + "  " + body[1:-1] + inner + "]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", inner)
+        items.append(json.dumps(key) + ": " + text)
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _flat(value):
+    """A non-empty list (or tuple) of JSON scalars."""
+    return type(value) in (list, tuple) and len(value) > 0 and set(map(type, value)) <= _SCALARS
+
+
 @functools.cache
 def _build():
     """The argument parser, built on the first call and reused by every later main."""
@@ -381,7 +420,7 @@ def main(argv=None):
         docs, show = args.func(args)
         # JSON: the one document, or the list of them under --batch
         if args.format == "json":
-            print(json.dumps(docs if "batch" in args and args.batch else docs[0], indent=2))
+            print(_json_text(docs) if "batch" in args and args.batch else _json_doc(docs[0]))
         else:
             for doc in docs:
                 show(args, doc)

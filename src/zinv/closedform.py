@@ -22,9 +22,14 @@ r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
 with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
 is evaluated in exact integers with one correctly rounded final division, and
 non-integer data in floats. One formula body, _s0, evaluates a range of n:
-each j-th summand is one list pass, the passes are added from an int 0 in j
-order and one more pass divides, the operations of a value-by-value loop in
-its order. quad_seq0 runs it on one n with powers by binary exponentiation
+each j-th summand is one list pass, t + w * Im * (a^2+b^2)^j, whose exact
+integer weight w = (-1)^j C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained
+products without the C(.,0) = 1 factors, with each C(m,1) = m factor the
+range of m itself; the passes are added from an int 0
+in j order and one more pass divides, the operations of a value-by-value
+loop in its order. A quadratic term's column is one fused pass,
+0.0 + z_amp*s1 + const_amp*s0, without the piece of a zero amplitude.
+quad_seq0 runs _s0 on one n with powers by binary exponentiation
 (random access). eval_sequence walks n = 0..N once over all terms, CHUNK
 values of n at a time: each pole pair keeps one running product (a+ib)^m,
 shared by all its multiplicities and by s1, with only the last 2K-1 powers
@@ -43,6 +48,7 @@ where the true sequence must vanish.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -95,14 +101,24 @@ def _pair(a, b, k):
     return float(a), float(b)
 
 
+def _comb_col(ms, r):
+    """C(m, r) for m in ms, r >= 1: the range itself when r = 1."""
+    return ms if r == 1 else map(math.comb, ms, repeat(r))
+
+
 def _s0(a, b, k, ns, im, off):
     """[s0[n] for n in ns] for a +/- ib from _pair; OverflowError, named for
     n = ns.start, if one is not a finite float.
 
-    im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. Each
-    summand is one pass over ns, added to totals that start from int 0 in j
-    order, so int data gives exact integer totals and one correctly rounded
-    division, and float data the same float operations in the same order.
+    im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
+    j-th summand is one pass over ns: its exact integer weight
+    (-1)^j C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products, which
+    leaves out the factors C(n-1,0) (j = 0) and C(n-2k,0) (j = k-1) that are
+    1 and reads a C(m,1) = m factor off its range, and each pass adds
+    w * Im * (a^2+b^2)^j to totals that start from int 0, in j order. So int
+    data gives exact integer totals and one correctly rounded division, and
+    float data the same float operations in the same order as a
+    value-by-value loop; the body takes any number type.
     """
     lo = min(max(ns.start, 2 * k), ns.stop)
     zeros = [0.0] * (lo - ns.start)
@@ -111,11 +127,16 @@ def _s0(a, b, k, ns, im, off):
     s2 = a * a + b * b
     totals = [0] * (ns.stop - lo)
     for j in range(k):
-        sj, p, m0 = (-1) ** j, s2**j, lo - 2 * j - 1 - off
-        c1 = map(math.comb, range(lo - 1, ns.stop - 1), repeat(j))
-        c2 = map(math.comb, range(lo - k - 1 - j, ns.stop - k - 1 - j), repeat(k - 1 - j))
-        ims = im[m0 : m0 + len(totals)]
-        totals = [t + sj * u * v * x * p for t, u, v, x in zip(totals, c1, c2, ims)]
+        p, m0 = s2**j, lo - 2 * j - 1 - off
+        ws = repeat(1)
+        if j:
+            ws = _comb_col(range(lo - 1, ns.stop - 1), j)
+        if j < k - 1:
+            c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
+            ws = map(operator.mul, ws, c2) if j else c2
+        if j % 2:
+            ws = map(operator.neg, ws)
+        totals = [t + w * x * p for t, w, x in zip(totals, ws, im[m0 : m0 + len(totals)])]
     try:
         sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
         vals = [sign * t / den for t in totals]
@@ -160,9 +181,13 @@ def _real_pole_col(t, ns):
     """
     amp, pole, k = t.amp, t.pole, t.mult
     lo = min(max(ns.start, k), ns.stop)
-    cs = map(math.comb, range(lo - 1, ns.stop - 1), repeat(k - 1))
+    es = range(lo - k, ns.stop - k)
     try:
-        vals = [amp * c * pole**e for c, e in zip(cs, range(lo - k, ns.stop - k))]
+        if k == 1:  # C(n-1, 0) = 1
+            vals = [amp * pole**e for e in es]
+        else:
+            cs = _comb_col(range(lo - 1, ns.stop - 1), k - 1)
+            vals = [amp * c * pole**e for c, e in zip(cs, es)]
         if all(map(math.isfinite, vals)):
             return [0.0] * (lo - ns.start) + vals
     except OverflowError:
@@ -183,20 +208,24 @@ def _term_col(t, ns, powers):
     powers for _s0, which reach one past ns for the z-numerator piece.
     """
     if isinstance(t, Impulse):
-        return [t.amp if n == t.index else 0.0 for n in ns]
+        col = [0.0] * len(ns)
+        if t.index in ns:
+            col[t.index - ns.start] = t.amp
+        return col
     if isinstance(t, RealPole):
         return _real_pole_col(t, ns)
     if isinstance(t, QuadPole):
         a, b, im, off = powers[t.a, t.b]
+        za, ca = t.z_amp, t.const_amp
         # s1[n] = s0[n+1]: s0 one past ns only where s1 is used, so that the
         # last n with a finite value is not taken for a failing one
-        s0 = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(t.z_amp)), im, off)
-        col = [0.0] * len(ns)
-        if t.z_amp:
-            col = [v + t.z_amp * s for v, s in zip(col, s0[1:])]
-        if t.const_amp:
-            col = [v + t.const_amp * s for v, s in zip(col, s0)]
-        return col
+        s = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(za)), im, off)
+        # the float operations of adding each nonzero piece to 0.0 in turn
+        if za and ca:
+            return [0.0 + za * s1 + ca * s0 for s1, s0 in zip(s[1:], s)]
+        if za:
+            return [0.0 + za * s1 for s1 in s[1:]]
+        return [0.0 + ca * s0 for s0 in s]
     raise TypeError(f"not a closed-form term: {t!r}")
 
 

@@ -4,7 +4,9 @@ Everything here runs over Python integers (and one exact rational division),
 so the identity sweeps are machine-checked statements rather than float
 comparisons. The one float producer, pair_convolution_series, is the
 independent convolution route to the quadratic-pole sequence; for integer
-pole data it too is exact (Gaussian-integer arithmetic).
+pole data it too is exact (Gaussian-integer arithmetic). It has its own
+Gaussian powers and pole-data check, so that the convolution sweep shares
+no code with the closed form it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .closedform import SequenceTable, _gauss_pow, _pair
+from .closedform import SequenceTable
 from .errors import ConjugateSymmetryError
 
 SYMMETRY_TOL = 1e-9
@@ -93,6 +95,30 @@ def surjection_count(boxes, balls):
         (boxes - w) ** balls * math.comb(boxes, w) * (-1) ** w
         for w in range(boxes + 1)
     )
+
+
+def _gauss_pow(re, im, m):
+    """(re + i*im)**m by binary exponentiation; exact for int components."""
+    rr, ri = 1, 0
+    while m:
+        if m & 1:
+            rr, ri = rr * re - ri * im, rr * im + ri * re
+        re, im = re * re - im * im, 2 * re * im
+        m >>= 1
+    return rr, ri
+
+
+def _pair(a, b, k):
+    """(a, b) for the pair a +/- ib of multiplicity k: int components when
+    both are integer-valued, else floats; ValueError if b <= 0 or k < 1."""
+    if b <= 0:
+        raise ValueError("not a complex pair")
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    ai, bi = int(a), int(b)
+    if a == ai and b == bi:
+        return ai, bi
+    return float(a), float(b)
 
 
 def _pair_convolution(a, b, k, n):

@@ -1,11 +1,12 @@
 import json
+import math
 import re
 import subprocess
 import sys
 
 import pytest
 
-from zinv import cli
+from zinv import cli, oracles
 from zinv.cli import main
 from zinv.oracles import residue_value
 from zinv.parser import parse_rational_expr
@@ -266,6 +267,75 @@ class TestBatch:
 
     def test_missing_batch_file(self, capsys):
         assert main(["table", "--batch", "/nonexistent/file.txt"]) == 2
+
+
+class TestJsonWriter:
+    """main's JSON is json.dumps(doc, indent=2) byte for byte, also where a
+    flat value list is written by the C encoder."""
+
+    @staticmethod
+    def documents(argv):
+        """What main prints as JSON for argv: one document, or a --batch list."""
+        args = cli._build().parse_args([*argv, "--format", "json"])
+        docs, _ = args.func(args)
+        return docs if "batch" in args and args.batch else docs[0]
+
+    @staticmethod
+    def written(obj):
+        return cli._json_text(obj) if isinstance(obj, list) else cli._json_doc(obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "(5z^3-2z+1)/((z^2+1)^3 (z-1))", "--n", "40"],
+            ["table", "1/((z-0.5)^2 (z^2-z+0.5))", "--n", "12", "--method", "all"],
+            ["table", "1/(z-2)", "--n", "5", "--method", "residue"],
+            ["table", "1/(z-0.5)", "--n", "0"],
+            ["table", "1/(z-\uff10.5)", "--n", "3"],  # a full-width digit: non-ASCII input
+            ["invert", "(z^4+1)/(z^2+1)"],
+            ["invert", "1/(z-0.5)"],  # empty poly_part
+            ["invert", "z^2+3z"],
+            ["compare", "1/(z^2+1)", "--n", "10"],
+            ["compare", "1/(z^2-4z+8)", "--n", "2200"],  # every method errored
+            ["compare", "--fuzz", "3", "--seed", "42"],
+            ["identities"],
+        ],
+    )
+    def test_each_document_kind(self, argv, capsys):
+        doc = self.documents(argv)
+        assert self.written(doc) == json.dumps(doc, indent=2)
+
+    def test_nan_deviation(self, monkeypatch):
+        monkeypatch.setattr(oracles, "residue_value", lambda *args, **kw: math.nan)
+        doc = self.documents(["compare", "1/(z^2+1)", "--n", "10"])
+        text = self.written(doc)
+        assert '"deviation": NaN' in text
+        assert text == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("cmd", ["invert", "table", "compare"])
+    def test_batch(self, cmd, tmp_path, capsys):
+        batch = tmp_path / "exprs.txt"
+        batch.write_text(
+            "1/(z-0.5)\n(z^4+1)/(z^2+1)\nz^2+3z\n1/(z-\uff10.5)\n", encoding="utf-8"
+        )
+        docs = self.documents([cmd, "--batch", str(batch)])
+        assert len(docs) == 4
+        assert self.written(docs) == json.dumps(docs, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "(z^2-1)/(z^2+1)^2", "--n", "30"],
+            ["table", "1/(z^2+1)", "--n", "8", "--method", "all"],
+            ["invert", "(z^4+1)/(z^2+1)"],
+            ["identities"],
+        ],
+    )
+    def test_main_prints_the_writer(self, argv, capsys):
+        doc = self.documents(argv)
+        capsys.readouterr()
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestParserReuse:

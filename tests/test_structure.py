@@ -25,6 +25,20 @@ def test_oracles_import_only_their_own_route():
                 assert names <= ORACLE_IMPORTS[node.module], (node.module, names)
 
 
+# what identities may take from the package: the sweep checks the closed
+# form, so it shares no code with it beyond the table type
+IDENTITY_IMPORTS = {"closedform": {"SequenceTable"}, "errors": {"ConjugateSymmetryError"}}
+
+
+def test_identities_import_only_the_table_type():
+    tree = ast.parse((ROOT / "src/zinv/identities.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.name for alias in node.names}
+            assert node.module in IDENTITY_IMPORTS, (node.module, names)
+            assert names <= IDENTITY_IMPORTS[node.module], (node.module, names)
+
+
 def test_traced_layer_functions_exist():
     # bench/spans.py wraps these by name; a rename must fail here, not only
     # in a traced bench run
