@@ -52,7 +52,6 @@ from .oracles import (
 )
 from .parser import batch_expressions, format_rational, parse_rational_expr
 from .pfe import (
-    ComplexPartialFraction,
     RationalFunction,
     RealPartialFraction,
     complex_pfe_over_z,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosedFormExpr",
     "ComparisonReport",
-    "ComplexPartialFraction",
     "ConjugateSymmetryError",
     "FactoredDenominator",
     "FactorizationError",

@@ -99,7 +99,7 @@ def cmd_table(args):
             # residue excludes n = 0 by contract; the table starts at n = 1
             print("note: residue method starts at n=1 (n=0 is out of its domain)", file=sys.stderr)
             ns = range(1, args.n + 1)
-            cols = [[residue_value(x, n, parts=poles.residue_parts()) for n in ns]]
+            cols = [[residue_value(x, n, poles=poles) for n in ns]]
         else:
             ns = range(args.n + 1)
             cols = [SERIES_METHODS[m](x, args.n, factored, poles) for m in methods]

@@ -25,7 +25,6 @@ def random_rational(
     min_modulus=DEFAULT_MIN_MODULUS,
     max_modulus=DEFAULT_MAX_MODULUS,
     max_mult=3,
-    allow_equal_degree=True,
 ):
     """One random proper rational function with a known factorization.
 
@@ -90,9 +89,7 @@ def random_rational(
     )
     den = factored.expand()
 
-    q = den.degree
-    hi = q if allow_equal_degree else q - 1
-    p = rng.randint(0, max(hi, 0))
+    p = rng.randint(0, den.degree)
     coeffs = [rng.uniform(-3.0, 3.0) for _ in range(p)]
     coeffs.append(rng.choice((-1, 1)) * rng.uniform(0.5, 3.0))
     num = Polynomial(coeffs)

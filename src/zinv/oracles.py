@@ -8,10 +8,10 @@ Four routes that share no machinery with the closed-form path:
 * the recursive-coefficient scheme on X(z)/z, inverted in complex powers;
 * per-n residue sums of X(z) z^(n-1).
 
-The last three read principal parts off one table each per request
-(pfe.principal_parts on the oracles' own pole product): moreira and juric
-share X(z)/z's, so they differ only in how they evaluate it; residue reads
-X's.
+The last three read principal parts off one plain table each per request,
+{pole: {power: A_j}} (pfe.principal_parts on the oracles' own pole
+product): moreira and juric share X(z)/z's (pfe.complex_pfe_over_z), so they
+differ only in how they evaluate it; residue reads X's.
 
 SERIES_METHODS is the one method list: compare_methods, the CLI's table
 columns and its --method choices all read it. The oracles factor one
@@ -71,34 +71,34 @@ def longdiv_series(x, n_max):
 def moreira_series(x, n_max, poles=None):
     """Inverse transform via complex partial fractions of X(z)/z.
 
-    Each expansion term of Y = X/z is multiplied back by z and inverted:
+    Each principal-part term of Y = X/z is multiplied back by z and inverted:
     poles at 0 give shifted impulses, a pole p of multiplicity q gives
     coeff * C(n, q-1) * p^(n-q+1); conjugate pairs combine into
     2|c| r^(n-q+1) C(n, q-1) cos((n-q+1)theta + phi) with phi = arg(c).
-    The expansion is poles.pfe_over_z(), poles the request's OraclePoles
-    (OraclePoles(x) when None). A term overflowing at n makes x[n] NaN.
+    The table is poles.pfe_over_z(), poles the request's OraclePoles
+    (OraclePoles(x) when None), summed pole by pole and power by power. A
+    term overflowing at n makes x[n] NaN.
     """
-    cpf = (OraclePoles(x) if poles is None else poles).pfe_over_z()
     vals = [0j] * (n_max + 1)
-    for t in cpf.terms:
-        pole, j, coeff = t.pole, t.j, t.coeff
-        try:
-            if pole == 0:
-                if j - 1 <= n_max:  # z * coeff/z^j = coeff * z^(1-j)
-                    vals[j - 1] += coeff
-            elif pole.imag == 0:
-                for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
-                    vals[n] += coeff * math.comb(n, j - 1) * pole.real ** (n - j + 1)
-            elif pole.imag > 0:
-                amp, phi, r, theta = abs(coeff), cmath.phase(coeff), abs(pole), cmath.phase(pole)
-                if amp == 0:
-                    continue
-                for n in range(j - 1, n_max + 1):
-                    c = math.comb(n, j - 1)
-                    vals[n] += 2.0 * amp * c * r ** (n - j + 1) * math.cos((n - j + 1) * theta + phi)
-            # pole.imag < 0: consumed by its conjugate partner
-        except OverflowError:  # only the n loops raise it: x[n] is not a finite float
-            vals[n] = math.nan
+    for pole, part in (OraclePoles(x) if poles is None else poles).pfe_over_z().items():
+        for j, coeff in part.items():
+            try:
+                if pole == 0:
+                    if j - 1 <= n_max:  # z * coeff/z^j = coeff * z^(1-j)
+                        vals[j - 1] += coeff
+                elif pole.imag == 0:
+                    for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
+                        vals[n] += coeff * math.comb(n, j - 1) * pole.real ** (n - j + 1)
+                elif pole.imag > 0:
+                    amp, phi, r, theta = abs(coeff), cmath.phase(coeff), abs(pole), cmath.phase(pole)
+                    if amp == 0:
+                        continue
+                    for n in range(j - 1, n_max + 1):
+                        c = math.comb(n, j - 1)
+                        vals[n] += 2.0 * amp * c * r ** (n - j + 1) * math.cos((n - j + 1) * theta + phi)
+                # pole.imag < 0: consumed by its conjugate partner
+            except OverflowError:  # only the n loops raise it: x[n] is not a finite float
+                vals[n] = math.nan
     out = tuple(_discard_imag(_finite("moreira", n, v), "moreira") for n, v in enumerate(vals))
     return SequenceTable(out)
 
@@ -113,37 +113,35 @@ def juric_series(x, n_max, poles=None):
     being A_j delta[n-j+1]. Overflow is reported as in moreira_series.
     """
     vals = [0j] * (n_max + 1)
-    for t in (OraclePoles(x) if poles is None else poles).pfe_over_z().terms:
-        zk, j, a = t.pole, t.j, t.coeff
-        if zk == 0:
-            if j - 1 <= n_max:
-                vals[j - 1] += a
-            continue
-        for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
-            try:
-                vals[n] += a * math.comb(n, j - 1) * zk ** (n - j + 1)
-            except OverflowError:
-                vals[n] = math.nan
+    for zk, part in (OraclePoles(x) if poles is None else poles).pfe_over_z().items():
+        for j, a in part.items():
+            if zk == 0:
+                if j - 1 <= n_max:
+                    vals[j - 1] += a
+                continue
+            for n in range(j - 1, n_max + 1):  # C(n, j-1) is 0 below
+                try:
+                    vals[n] += a * math.comb(n, j - 1) * zk ** (n - j + 1)
+                except OverflowError:
+                    vals[n] = math.nan
     out = tuple(_discard_imag(_finite("juric", n, v), "juric") for n, v in enumerate(vals))
     return SequenceTable(out)
 
 
-def residue_value(x, n, poles=None, parts=None):
+def residue_value(x, n, poles=None):
     """x[n] as the sum of residues of X(z) z^(n-1) over the poles of X.
 
     At a pole z_k of multiplicity m, X has principal part sum_j A_j/(z-z_k)^j,
     and the residue is sum_l A_(l+1) C(n-1, l) z_k^(n-1-l) over l < min(m, n):
     the terms with l > n-1 vanish and are skipped, as z_k = 0 would divide by
     zero there. n = 0 is excluded: z^(n-1) would add a pole at the origin
-    outside X's pole set. parts is OraclePoles(x).residue_parts(), the same
-    for every n; when None it is built from poles (OraclePoles(x).of_x(),
-    found here when None). A constant denominator has none, and the sum is 0.
+    outside X's pole set. The parts are poles.residue_parts(), poles the
+    request's OraclePoles (OraclePoles(x) when None), built once for every n.
+    A constant denominator has none, and the sum is 0.
     """
     if n < 1:
         raise ValueError("use n >= 1 or an oracle that handles the origin pole")
-    if parts is None:
-        poles = OraclePoles(x).of_x() if poles is None else poles
-        parts = principal_parts(x.num, x.den.leading, poles)
+    parts = (OraclePoles(x) if poles is None else poles).residue_parts()
     total = 0j
     try:
         for zk, coeffs in parts.items():
@@ -168,7 +166,7 @@ class OraclePoles:
     """The oracles' poles and principal-part tables for one input, from one factoring.
 
     over_z() is the pole list of X(z)/z's denominator, the one factored, and
-    pfe_over_z() the expansion of X(z)/z at those poles (moreira, juric).
+    pfe_over_z() X(z)/z's principal-part table at those poles (moreira, juric).
     of_x() is X's pole list, read off over_z(), and residue_parts() X's
     principal parts at those poles (residue). A constant denominator has no
     poles. A factoring error is kept and raised at each use, where the oracle
@@ -182,7 +180,7 @@ class OraclePoles:
         )
         self.pfe_over_z = _once(lambda: complex_pfe_over_z(x, poles=self.over_z()))
         self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
-        self.residue_parts = _once(lambda: principal_parts(x.num, x.den.leading, self.of_x()))
+        self.residue_parts = _once(lambda: principal_parts(x.num, self.of_x()))
 
 
 def _poles_of_x(x, den, over_z):
@@ -298,7 +296,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     ref = methods[anchor].values
     for n in (i for i in _RESIDUE_BASE if 1 <= i <= n_max):
         try:
-            val = residue_value(x, n, parts=poles.residue_parts())
+            val = residue_value(x, n, poles=poles)
             dev = abs(val - ref[n])
             report.residue_checks.append((n, val, dev, None))
             if not within_bound(dev, bound):

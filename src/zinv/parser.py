@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import namedtuple
 
 from .errors import ParseError
@@ -90,8 +91,9 @@ class _Parser:
     Every rule returns (value, factors): the polynomial it denotes, and the
     multiplicands whose product it is, each (base, exp, pos, powered) with
     pos the offset where the base is written. A product concatenates its
-    operands' factors, unary minus adds a -1 constant, "^" gives one powered
-    factor, and parentheses are transparent; a sum is one factor.
+    operands' factors, unary minus adds a -1 constant, "^k" multiplies each
+    factor's exponent by k and marks it powered, and parentheses are
+    transparent; a sum is one factor.
     """
 
     def __init__(self, text, tokens):
@@ -148,7 +150,6 @@ class _Parser:
         return -value, [_MINUS_ONE, *factors]
 
     def power(self):
-        pos = self.peek().pos
         base, factors = self.atom()
         if self.peek().kind != "^":
             return base, factors
@@ -164,7 +165,8 @@ class _Parser:
         k = tok.value
         # z^k directly: the repeated product gives exactly these ints
         value = Polynomial((0,) * k + (1,)) if base is Z else base**k
-        return value, [(base, k, pos, True)]
+        # (A*B)^k is A^k*B^k: each multiplicand keeps its base and position
+        return value, [(b, e * k, p, True) for b, e, p, _ in factors]
 
     def atom(self):
         tok = self.peek()
@@ -192,6 +194,11 @@ class _Parser:
 
 
 # -- factored-denominator extraction -----------------------------------------
+
+
+def _underflowed(product, factor):
+    """A float product with a nonzero factor fell below the normal float range."""
+    return factor != 0 and abs(product) < sys.float_info.min
 
 
 def _extract_factored(factors, text):
@@ -231,13 +238,18 @@ def _extract_factored(factors, text):
                 linears[r] = linears.get(r, 0) + exp
         elif p.degree == 2:
             c0, c1, c2 = p.coeff(0), p.coeff(1), p.coeff(2)
-            disc = c1 * c1 - 4 * c2 * c0
+            sq, prod = c1 * c1, 4 * c2 * c0
+            disc = sq - prod
+            if _underflowed(sq, c1) or _underflowed(prod, c0) or not abs(disc) < math.inf:
+                return None  # a float discriminant out of range decides nothing
             if disc >= 0:
                 if explicit:
                     raise _error(text, pos, "factor is reducible; supply linear factors")
                 return None
             a = -c1 / (2 * c2)
             b = math.sqrt(-disc) / (2 * abs(c2))
+            if not (math.isfinite(a) and math.isfinite(b) and b > 0):
+                return None
             scale *= c2**exp
             key = (a, b)
             quads[key] = quads.get(key, 0) + exp

@@ -8,9 +8,9 @@ so structurally zero coefficients come out exactly zero. Each real partial
 fraction is read off as one closed-form term (Impulse, RealPole, QuadPole;
 closedform holds their sequence formulas); the condition estimate is a
 cancellation bound read off the terms alone.
-The complex expansion of X(z)/z (the oracles' route) reads each pole's
-principal part off the product of the given poles, as a quotient of Taylor
-series; X's own principal parts come from the same function.
+The complex expansion of X(z)/z (the oracles' route) is a plain table
+{pole: {power: coefficient}}, each part read off the product of the given
+poles as a quotient of Taylor series; X's own parts come from the same function.
 """
 
 from __future__ import annotations
@@ -105,21 +105,6 @@ class RealPartialFraction:
     terms: tuple
     condition: float = 0.0
     warnings: tuple = ()
-
-
-@dataclass(frozen=True)
-class ComplexTerm:
-    """coeff / (z - pole)**j"""
-
-    pole: complex
-    j: int
-    coeff: complex
-
-
-@dataclass(frozen=True)
-class ComplexPartialFraction:
-    terms: tuple
-    poly_part: Polynomial
 
 
 def _factor(t):
@@ -300,24 +285,25 @@ def _taylor(p, z0, m):
     return out
 
 
-def principal_parts(num, lead, poles):
+def principal_parts(num, poles):
     """{z_k: {j: A_j}}: the principal part sum_j A_j/(z-z_k)^j of num/d at each pole.
 
-    d = lead * prod_i (z-z_i)^m_i is the product of poles, a conjugate-closed
-    list of distinct (z_k, m_k), so the parts belong to the poles given, not
-    to a denominator they only approximate. With D_k = d/(z-z_k)^m_k (a pair
-    not holding z_k enters as its real quadratic z^2 - 2Re(z_i) z + |z_i|^2),
-    A_{m-i} = g_i, the i-th Taylor coefficient of num/D_k at z_k: the power
-    series division g_i = (p_i - sum_{l<i} g_l q_{i-l}) / q_0 of num's and
-    D_k's Taylor coefficients. A real pole's part is real; a lower-half
-    pole's is the exact conjugate of its partner's.
+    d = prod_i (z-z_i)^m_i is the product of poles, a conjugate-closed list
+    of distinct (z_k, m_k), so the parts belong to the poles given, not to a
+    (monic) denominator they only approximate. With D_k = d/(z-z_k)^m_k (a
+    pair not holding z_k enters as its real quadratic z^2 - 2Re(z_i) z +
+    |z_i|^2), A_{m-i} = g_i, the i-th Taylor coefficient of num/D_k at z_k:
+    the power series division g_i = (p_i - sum_{l<i} g_l q_{i-l}) / q_0 of
+    num's and D_k's Taylor coefficients. Parts come in pole order, powers
+    ascending; a real pole's part is real, a lower-half pole's the exact
+    conjugate of its partner's.
     """
     parts = {}
     for zk, m in sorted(poles, key=lambda pm: -pm[0].imag):  # upper half first
         if zk.imag < 0:
             parts[zk] = {j: a.conjugate() for j, a in parts[zk.conjugate()].items()}
             continue
-        dk = Polynomial((lead,))
+        dk = ONE
         for z, mult in poles:
             if z.imag == 0 and z != zk:
                 dk *= Polynomial((-z.real, 1)) ** mult
@@ -330,30 +316,19 @@ def principal_parts(num, lead, poles):
         g = []
         for i in range(m):
             g.append((p[i] - sum(g[l] * q[i - l] for l in range(i))) / q[0])
-        parts[zk] = {m - i: gi for i, gi in enumerate(g)}
+        parts[zk] = {j: g[m - j] for j in range(1, m + 1)}
     return {zk: parts[zk] for zk, _ in poles}
 
 
 def complex_pfe_over_z(x, poles=None):
-    """Full complex partial fraction expansion of Y(z) = X(z)/z.
+    """principal_parts of Y(z) = X(z)/z's remainder: {z_k: {j: A_j}}.
 
-    The terms are principal_parts of Y's remainder at poles, Y's pole list
-    (factor_denominator(_divided_by_z(x)[1]).pole_list(), found here if
-    None), in pole order and by power.
+    poles is Y's pole list (factor_denominator(_divided_by_z(x)[1]).pole_list(),
+    found here if None); {} when Y's denominator is a constant.
     """
     num, den = _divided_by_z(x)
-    poly_part, rem = divmod(num, den)
-
     if den.degree < 1:
-        return ComplexPartialFraction((), poly_part)
-
+        return {}
     if poles is None:
         poles = factor_denominator(den).pole_list()
-
-    terms = [
-        ComplexTerm(zk, j, a)
-        for zk, part in principal_parts(rem, den.leading, poles).items()
-        for j, a in part.items()
-    ]
-    terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.j))
-    return ComplexPartialFraction(tuple(terms), poly_part)
+    return principal_parts(num % den, poles)

@@ -5,6 +5,7 @@ import pytest
 from zinv.corpus import random_rational
 from zinv.errors import ParseError
 from zinv.factorize import LinearFactor, QuadraticFactor
+from zinv.oracles import compare_methods
 from zinv.parser import batch_expressions, format_rational, parse_rational_expr, tokenize
 from zinv.polynomial import Polynomial
 
@@ -101,6 +102,37 @@ class TestFactoredExtraction:
         with pytest.raises(ParseError, match="reducible"):
             parse_rational_expr("1/((z-5)*(z^2-3*z+2))")
 
+    @pytest.mark.parametrize(
+        "text, flat",
+        [
+            ("1/((z-1)*(z+2))^2", "1/((z-1)^2*(z+2)^2)"),
+            ("1/((z-1)^2)^3", "1/((z-1)^6)"),
+            ("1/(z*(z-1))^2", "1/(z^2*(z-1)^2)"),
+            ("1/((z-1)^2*(z+2))^2", "1/((z-1)^4*(z+2)^2)"),
+            ("1/(-2*(z^2+z+1)*(z-3))^3", "1/(-8*(z^2+z+1)^3*(z-3)^3)"),
+        ],
+    )
+    def test_power_of_a_product_powers_each_multiplicand(self, text, flat):
+        # (A*B)^k is A^k*B^k: every base keeps its own factor
+        x, f = parse_rational_expr(text)
+        y, g = parse_rational_expr(flat)
+        assert f is not None and f == g
+        assert x == y
+        assert compare_methods(x, 50, 1e-7, factored=f).passed
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/((1e-200*z^2+1e-200*z+1e-200)*(z-1))",  # the discriminant underflows to 0
+            "1/(1e200*z^2+1e200*z+1e200)",  # inf - inf: a NaN discriminant
+            "1/((1e-200*z^2+1e-200)*(z-1))",  # 4*c2*c0 underflows to 0
+        ],
+    )
+    def test_discriminant_out_of_float_range_falls_back(self, text):
+        x, f = parse_rational_expr(text)
+        assert f is None
+        assert compare_methods(x, 50, 1e-7).passed
+
     def test_cubic_factor_falls_back(self):
         _, f = parse_rational_expr("1/(z^3+2*z+5)")
         assert f is None
@@ -112,7 +144,11 @@ class TestFactoredExtraction:
 
     @pytest.mark.parametrize(
         "text, column",
-        [("1/((z-5)*((z^2-3*z+2)))", 10), ("1/(-(z^2-3*z+2)^2)", 5)],
+        [
+            ("1/((z-5)*((z^2-3*z+2)))", 10),
+            ("1/(-(z^2-3*z+2)^2)", 5),
+            ("1/((z^2-1)*(z-3))^2", 4),  # (A*B)^k is checked as A^k*B^k
+        ],
     )
     def test_reducible_factor_column(self, text, column):
         # a parenthesized factor is located at its outermost "("

@@ -20,6 +20,7 @@ from zinv.pfe import (
     RealPole,
     _amps,
     _factor,
+    _divided_by_z,
     _factor_powers,
     complex_pfe_over_z,
     real_pfe,
@@ -62,13 +63,13 @@ def recombine(pf):
     return RationalFunction(num, den)
 
 
-def assert_exact_conjugates(cp):
-    """Each lower-half pole's coefficients are its partner's, conjugated exactly."""
-    by_key = {(t.pole, t.j): t.coeff for t in cp.terms}
-    upper = {(pole, j) for pole, j in by_key if pole.imag > 0}
-    assert {(p.conjugate(), j) for p, j in upper} == {k for k in by_key if k[0].imag < 0}
-    for pole, j in upper:
-        assert by_key[(pole.conjugate(), j)] == by_key[(pole, j)].conjugate()
+def assert_exact_conjugates(table):
+    """Each lower-half pole's part is its partner's, conjugated exactly."""
+    upper = [pole for pole in table if pole.imag > 0]
+    assert {p.conjugate() for p in upper} == {p for p in table if p.imag < 0}
+    for pole in upper:
+        part = table[pole]
+        assert table[pole.conjugate()] == {j: a.conjugate() for j, a in part.items()}
 
 
 class TestRealPfe:
@@ -167,34 +168,45 @@ class TestRealPfe:
 class TestComplexPfeOverZ:
     def test_unit_quadratic(self):
         # 1/(z^2+1): Y = 1/(z(z^2+1)) -> 1 at the origin, -1/2 at +/-i
-        cp = complex_pfe_over_z(rf([1], [1, 0, 1]))
-        got = {t.pole: t.coeff for t in cp.terms}
-        assert got[0j] == 1.0
-        assert got[1j] == -0.5
-        assert got[-1j] == -0.5
-        assert_exact_conjugates(cp)
+        table = complex_pfe_over_z(rf([1], [1, 0, 1]))
+        assert table == {-1j: {1: -0.5}, 0j: {1: 1.0}, 1j: {1: -0.5}}
+        assert_exact_conjugates(table)
 
     def test_shared_z_cancels(self):
         # z/(z-1): Y = 1/(z-1), one simple pole with unit coefficient
-        cp = complex_pfe_over_z(rf([0, 1], [-1, 1]))
-        (t,) = cp.terms
-        assert t.pole == 1.0 and t.j == 1
-        assert t.coeff == 1.0
+        assert complex_pfe_over_z(rf([0, 1], [-1, 1])) == {1.0: {1: 1.0}}
+
+    def test_constant_denominator_has_no_parts(self):
+        # z: Y = 1 has no pole
+        assert complex_pfe_over_z(rf([0, 1], [1])) == {}
 
     def test_origin_coefficient_of_multiple_pair(self):
         # (2z+3)/((z^2-2z+2)^3): coefficient at the origin of Y is 3/r^6 = 3/8
         den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
-        cp = complex_pfe_over_z(RationalFunction(Polynomial([3, 2]), den))
-        at0 = {t.j: t.coeff for t in cp.terms if t.pole == 0}
-        assert at0[1] == pytest.approx(0.375, abs=1e-12)
+        table = complex_pfe_over_z(RationalFunction(Polynomial([3, 2]), den))
+        assert table[0j][1] == pytest.approx(0.375, abs=1e-12)
+
+    def test_keys_follow_the_pole_order_and_powers_ascend(self):
+        # moreira and juric sum the table in its order, so their bits rest on it
+        x, _ = parse_rational_expr("(z+2)/((z-0.5)^3 (z^2+0.25)^2 (z+0.75))")
+        poles = factor_denominator(_divided_by_z(x)[1]).pole_list()
+        assert poles == sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
+        for order in (poles, poles[::-1], poles[1::2] + poles[::2]):
+            table = complex_pfe_over_z(x, order)
+            assert list(table) == [z for z, _ in order]
+            for z, m in order:
+                assert list(table[z]) == list(range(1, m + 1))
+        assert complex_pfe_over_z(x) == complex_pfe_over_z(x, poles)
 
     def test_conjugate_closure_exact(self):
         rng = random.Random(31)
         for _ in range(20):
             x, _ = random_rational(rng)
-            cp = complex_pfe_over_z(x)
-            assert_exact_conjugates(cp)
-            assert all(t.coeff.imag == 0.0 for t in cp.terms if t.pole.imag == 0)
+            table = complex_pfe_over_z(x)
+            assert_exact_conjugates(table)
+            assert all(
+                a.imag == 0.0 for z, part in table.items() if z.imag == 0 for a in part.values()
+            )
 
 
 class TestRecombine:
