@@ -85,7 +85,6 @@ def random_rational(
         0,
         tuple(LinearFactor(r, u) for r, u in linears),
         tuple(QuadraticFactor(a, b, k) for a, b, k in quads),
-        1,
     )
     den = factored.expand()
 

@@ -49,12 +49,11 @@ class QuadraticFactor:
 
 @dataclass(frozen=True)
 class FactoredDenominator:
-    """Complete factor structure of a real polynomial."""
+    """Complete factor structure of a monic real polynomial."""
 
     origin_mult: int
     linears: tuple
     quadratics: tuple
-    scale: float = 1
 
     @property
     def degree(self):
@@ -65,11 +64,10 @@ class FactoredDenominator:
         )
 
     def expand(self):
-        """Multiply the factors back out (scale included)."""
+        """Multiply the factors back out."""
         p = Polynomial.from_factors(
             [(f.r, f.u) for f in self.linears],
             [(f.a, f.b, f.k) for f in self.quadratics],
-            scale=self.scale,
         )
         return p.shift(self.origin_mult)
 
@@ -162,12 +160,11 @@ def cluster_and_pair(p, roots):
 
     Roots of one multiple root merge with summed multiplicity (_cluster);
     near-real locations snap to the axis, near-zero ones to the origin; the
-    rest must pair with their conjugates (b > 0 kept). The scale is p's
-    leading coefficient.
+    rest must pair with their conjugates (b > 0 kept).
     """
     roots = [complex(z) for z in roots]
     if not roots:
-        return FactoredDenominator(0, (), (), p.leading)
+        return FactoredDenominator(0, (), ())
     scale = max(1.0, max(abs(z) for z in roots))
 
     origin = 0
@@ -207,7 +204,6 @@ def cluster_and_pair(p, roots):
         origin,
         tuple(sorted(reals, key=lambda f: f.r)),
         tuple(sorted(quads, key=lambda f: (f.a, f.b))),
-        p.leading,
     )
 
 
@@ -256,7 +252,7 @@ def _polish(d, skel):
             if z.imag > 0:
                 a, b = z.real, z.imag
         quads.append(QuadraticFactor(a, b, f.k))
-    return FactoredDenominator(skel.origin_mult, tuple(linears), tuple(quads), skel.scale)
+    return FactoredDenominator(skel.origin_mult, tuple(linears), tuple(quads))
 
 
 def _expand_error(d, f):
@@ -294,17 +290,13 @@ def _is_m_fold_root(p, z, m):
 
 
 def _structure_ok(d, f):
-    for lf in f.linears:
-        if lf.u >= 2 and not _is_m_fold_root(d, complex(lf.r, 0.0), lf.u):
-            return False
-    for qf in f.quadratics:
-        if qf.k >= 2 and not _is_m_fold_root(d, complex(qf.a, qf.b), qf.k):
-            return False
-    return True
+    return all(
+        _is_m_fold_root(d, z, m) for z, m in f.pole_list() if m >= 2 and z != 0 and z.imag >= 0
+    )
 
 
 def factor_denominator(d):
-    """Recover the full factor structure of a real polynomial numerically.
+    """Recover the full factor structure of the real polynomial d / d.leading numerically.
 
     Composes find_roots and cluster_and_pair, whose cluster widths are the
     scatter radii of d's own multiple roots, polishes repeated locations, and
@@ -315,6 +307,8 @@ def factor_denominator(d):
         raise ValueError("need degree >= 1 to factor")
     if not d.is_real():
         raise ValueError("real coefficients required")
+    if d.leading != 1:
+        d = Polynomial(tuple(c / d.leading for c in d.coeffs))
     roots = [z for z, _ in find_roots(d)]
     try:
         cand = cluster_and_pair(d, roots)

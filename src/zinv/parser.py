@@ -202,22 +202,14 @@ def _underflowed(product, factor):
 
 
 def _extract_factored(factors, text):
-    """Exact factor structure of a denominator from its multiplicands, or
-    None to fall back.
+    """Exact factor structure of the monic denominator from its multiplicands
+    (constants and leading coefficients are not recorded), or None to fall back.
 
     Raises only for explicitly factored input containing a quadratic factor
     that is reducible over the reals.
     """
-    poly_factors = []
-    scale = 1
-    for p, exp, pos, _ in factors:
-        if p.degree == 0:
-            scale *= p.coeff(0) ** exp
-        elif exp > 0:
-            poly_factors.append((p, exp, pos))
+    poly_factors = [(p, exp, pos) for p, exp, pos, _ in factors if p.degree != 0 and exp > 0]
     explicit = len(poly_factors) > 1 or any(powered for *_, powered in factors)
-    if scale == 0:
-        return None
 
     origin = 0
     linears = {}
@@ -225,7 +217,6 @@ def _extract_factored(factors, text):
     for p, exp, pos in poly_factors:
         if p.degree == 1:
             c0, c1 = p.coeff(0), p.coeff(1)
-            scale *= c1**exp
             if c1 == 1:
                 r = -c0
             elif c1 == -1:
@@ -246,11 +237,13 @@ def _extract_factored(factors, text):
                 if explicit:
                     raise _error(text, pos, "factor is reducible; supply linear factors")
                 return None
-            a = -c1 / (2 * c2)
-            b = math.sqrt(-disc) / (2 * abs(c2))
+            try:
+                a = -c1 / (2 * c2)
+                b = math.sqrt(-disc) / (2 * abs(c2))
+            except OverflowError:  # int coefficients beyond the float range
+                return None
             if not (math.isfinite(a) and math.isfinite(b) and b > 0):
                 return None
-            scale *= c2**exp
             key = (a, b)
             quads[key] = quads.get(key, 0) + exp
         else:
@@ -260,7 +253,6 @@ def _extract_factored(factors, text):
         origin,
         tuple(LinearFactor(r, u) for r, u in sorted(linears.items())),
         tuple(QuadraticFactor(a, b, k) for (a, b), k in sorted(quads.items())),
-        scale,
     )
 
 

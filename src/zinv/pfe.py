@@ -28,7 +28,7 @@ _MATCH_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den with real coefficients, stored with den normalized monic."""
+    """num/den with real coefficients, stored with den normalized monic and in float range."""
 
     num: Polynomial
     den: Polynomial
@@ -37,13 +37,20 @@ class RationalFunction:
         if self.den.is_zero:
             raise ZeroDivisionError("zero denominator")
         lead = self.den.leading
-        if lead != 1:
-            object.__setattr__(
-                self, "num", Polynomial(tuple(c / lead for c in self.num.coeffs))
-            )
-            object.__setattr__(
-                self, "den", Polynomial(tuple(c / lead for c in self.den.coeffs))
-            )
+        for name, label in (("num", "numerator"), ("den", "denominator")):
+            p = getattr(self, name)
+            try:  # the one range check; an int, or int quotient, too large for a float raises
+                if lead != 1:
+                    p = Polynomial(tuple(c / lead for c in p.coeffs))
+                ok = all(map(math.isfinite, p.coeffs))
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"{label} out of the float range (finite, magnitude up to 1.8e308) "
+                    "once divided by the denominator's leading coefficient"
+                )
+            object.__setattr__(self, name, p)
 
     @property
     def is_proper(self):
@@ -215,20 +222,17 @@ def real_pfe(x, f):
     estimate bounds the cancellation when the terms are summed back to the
     remainder (see _condition), with a warning above 1e12.
     """
-    if _expand_error(x.den * f.scale, f) > _MATCH_RTOL:
+    if _expand_error(x.den, f) > _MATCH_RTOL:
         raise FactorizationError(
             "inconsistent factorization: factors do not expand to the denominator"
         )
 
-    if x.num.degree >= x.den.degree and x.den.degree >= 0:
+    if x.num.degree >= x.den.degree:
         poly_part, rem = divmod(x.num, x.den)
     else:
         poly_part, rem = Polynomial(()), x.num
 
     q = x.den.degree
-    if f.degree != q:
-        raise FactorizationError("inconsistent factorization: degree mismatch")
-
     if q == 0:
         return RealPartialFraction(poly_part, (), 0.0, ())
 

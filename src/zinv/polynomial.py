@@ -167,13 +167,13 @@ class Polynomial:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_factors(cls, linear=(), quadratic=(), scale=1):
-        """Expand scale * prod (z-r)**u * prod (z^2 - 2az + (a^2+b^2))**k.
+    def from_factors(cls, linear=(), quadratic=()):
+        """Expand prod (z-r)**u * prod (z^2 - 2az + (a^2+b^2))**k, a monic polynomial.
 
         Quadratic factors need b != 0: with b = 0 the quadratic is a squared
         linear factor and must be supplied as one.
         """
-        p = cls((scale,))
+        p = ONE
         for r, u in linear:
             if u < 1:
                 raise ValueError("multiplicity must be >= 1")

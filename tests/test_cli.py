@@ -40,6 +40,24 @@ class TestInvert:
         assert main(["invert", "1/(q^2+1)"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "1/(1e100*z^2+1e100)^4",
+            "1/(1e200*z^2+1e200*z+1e200)^2",
+            "1/(z^2*1e308*10+1)",
+            "z/(1e-320*z^2+1)",
+        ],
+    )
+    def test_out_of_float_range_exit_one(self, expr, capsys):
+        with pytest.raises(ValueError) as exc:
+            parse_rational_expr(expr)
+        assert main(["invert", expr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc.value}\n"
+        assert "out of the float range" in captured.err
+
     def test_csv_rejected(self, capsys):
         # argparse rejects it: only table offers csv
         with pytest.raises(SystemExit) as exc:

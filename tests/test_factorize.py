@@ -91,7 +91,7 @@ class TestFactorDenominator:
         assert f.origin_mult == 0 and f.linears == ()
         (q,) = f.quadratics
         assert (q.a, q.b, q.k) == pytest.approx((0.0, 1.0, 1))
-        assert f.scale == 1
+        assert f.expand() == Polynomial([1, 0, 1])
 
     def test_repeated_quadratic_roundtrip(self):
         src = Polynomial.from_factors(quadratic=[(1, 2, 3)])
@@ -106,9 +106,10 @@ class TestFactorDenominator:
         )
 
     def test_non_monic_linear(self):
+        # the structure of d / d.leading
         f = factor_denominator(Polynomial([-4, 2]))
-        assert f.scale == 2
         assert f.linears == (LinearFactor(2.0, 1),)
+        assert f.expand() == Polynomial([-2, 1])
 
     def test_triple_real_root(self):
         f = factor_denominator(Polynomial([-8, 12, -6, 1]))
@@ -169,7 +170,7 @@ def random_factored(rng):
                 break
     if not linears and not quads:
         return random_factored(rng)
-    return FactoredDenominator(0, tuple(linears), tuple(quads), 1)
+    return FactoredDenominator(0, tuple(linears), tuple(quads))
 
 
 class TestRoundTrip:

@@ -73,10 +73,10 @@ class TestFactoredExtraction:
         _, f = parse_rational_expr("1/((z-1)*(z-2)^2)")
         assert f.linears == (LinearFactor(1, 1), LinearFactor(2, 2))
 
-    def test_scale_collected(self):
-        _, f = parse_rational_expr("1/(2*z-4)")
-        assert f.scale == 2
+    def test_constant_divided_out(self):
+        x, f = parse_rational_expr("1/(2*z-4)")
         assert f.linears == (LinearFactor(2, 1),)
+        assert f.expand() == x.den
 
     def test_exact_expansion(self):
         text = "1/((z-1)^2*(z^2+z+1))"
@@ -126,6 +126,7 @@ class TestFactoredExtraction:
             "1/((1e-200*z^2+1e-200*z+1e-200)*(z-1))",  # the discriminant underflows to 0
             "1/(1e200*z^2+1e200*z+1e200)",  # inf - inf: a NaN discriminant
             "1/((1e-200*z^2+1e-200)*(z-1))",  # 4*c2*c0 underflows to 0
+            "1/((10^200*z^2+10^200)*(z-3))",  # an int discriminant beyond the float range
         ],
     )
     def test_discriminant_out_of_float_range_falls_back(self, text):
@@ -138,9 +139,9 @@ class TestFactoredExtraction:
         assert f is None
 
     def test_negated_denominator(self):
-        _, f = parse_rational_expr("1/(-(z-2))")
-        assert f.scale == -1
+        x, f = parse_rational_expr("1/(-(z-2))")
         assert f.linears == (LinearFactor(2, 1),)
+        assert f.expand() == x.den
 
     @pytest.mark.parametrize(
         "text, column",
@@ -157,9 +158,9 @@ class TestFactoredExtraction:
         assert e.value.column == column
 
     def test_sign_and_constants_through_nested_products(self):
-        _, f = parse_rational_expr("1/(2*((z-1)*(-(z+3))))")
-        assert f.scale == -2
+        x, f = parse_rational_expr("1/(2*((z-1)*(-(z+3))))")
         assert f.linears == (LinearFactor(-3, 1), LinearFactor(1, 1))
+        assert f.expand() == x.den
 
     @pytest.mark.parametrize(
         "text, num",
@@ -219,6 +220,21 @@ class TestErrors:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse_rational_expr("(z+1")
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("1/(1e100*z^2+1e100)^4", "denominator"),  # 1e400 overflows to inf
+            ("1/(1e200*z^2+1e200*z+1e200)^2", "denominator"),
+            ("1/(z^2*1e308*10+1)", "denominator"),  # inf/inf is NaN
+            ("z/(1e-320*z^2+1)", "numerator"),  # dividing by a subnormal gives inf
+            ("10^400/(2*z+1)", "numerator"),  # an int quotient beyond the float range
+            ("1/((z^2+10^400*z+10^800)*(z-1))", "denominator"),  # an int beyond it
+        ],
+    )
+    def test_out_of_float_range(self, text, name):
+        with pytest.raises(ValueError, match=f"^{name} out of the float range"):
+            parse_rational_expr(text)
 
 
 class TestRoundTrip:

@@ -75,7 +75,7 @@ def assert_exact_conjugates(table):
 class TestRealPfe:
     def test_single_quadratic(self):
         x = rf([1], [1, 0, 1])
-        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
+        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
         assert pf.poly_part.is_zero
         (t,) = pf.terms
@@ -88,9 +88,7 @@ class TestRealPfe:
         # frozen from recombining over the common denominator by hand
         den = Polynomial.from_factors(linear=[(1, 1)], quadratic=[(0, 1, 1)])
         x = RationalFunction(Polynomial([1]), den)
-        f = FactoredDenominator(
-            0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),), 1
-        )
+        f = FactoredDenominator(0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
         lt, qt = pf.terms
         assert type(lt) is RealPole and type(qt) is QuadPole
@@ -100,7 +98,7 @@ class TestRealPfe:
 
     def test_improper_gets_polynomial_part(self):
         x = rf([1, 0, 0, 1], [1, 0, 1])  # (z^3+1)/(z^2+1)
-        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
+        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
         assert pf.poly_part == Polynomial([0, 1])
         (qt,) = pf.terms
@@ -109,7 +107,7 @@ class TestRealPfe:
     def test_repeated_pair_structure_exact(self):
         den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
         x = RationalFunction(Polynomial([3, 2]), den)
-        f = FactoredDenominator(0, (), (QuadraticFactor(1.0, 1.0, 3),), 1)
+        f = FactoredDenominator(0, (), (QuadraticFactor(1.0, 1.0, 3),))
         pf = real_pfe(x, f)
         by_j = {t.mult: t for t in pf.terms}
         assert by_j[1].z_amp == 0.0 and by_j[1].const_amp == 0.0
@@ -118,7 +116,7 @@ class TestRealPfe:
 
     def test_mismatched_factorization_rejected(self):
         x = rf([1], [1, 0, 1])
-        wrong = FactoredDenominator(0, (LinearFactor(1.0, 2),), (), 1)
+        wrong = FactoredDenominator(0, (LinearFactor(1.0, 2),), ())
         with pytest.raises(FactorizationError, match="inconsistent factorization"):
             real_pfe(x, wrong)
 
@@ -132,23 +130,21 @@ class TestRealPfe:
     )
     def test_duplicated_factor_rejected(self, linears, quads):
         # the factors expand to the denominator, but no expansion exists
-        f = FactoredDenominator(0, linears, quads, 1)
+        f = FactoredDenominator(0, linears, quads)
         x = RationalFunction(Polynomial([1]), f.expand())
         with pytest.raises(FactorizationError, match="inconsistent factorization"):
             real_pfe(x, f)
 
     def test_condition_estimate_attached(self):
         x = rf([1], [1, 0, 1])
-        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
+        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
         assert pf.condition >= 1.0
         assert pf.warnings == ()
 
     def test_ill_conditioned_system_warns(self):
         # nearly coincident poles make the coefficient system near-singular
-        f = FactoredDenominator(
-            0, (LinearFactor(1.0, 1), LinearFactor(1.0 + 1e-12, 1)), (), 1
-        )
+        f = FactoredDenominator(0, (LinearFactor(1.0, 1), LinearFactor(1.0 + 1e-12, 1)), ())
         x = RationalFunction(Polynomial([1]), f.expand())
         pf = real_pfe(x, f)
         assert pf.condition > 1e12
@@ -212,7 +208,7 @@ class TestComplexPfeOverZ:
 class TestRecombine:
     def test_round_trip_single_quadratic(self):
         x = rf([1], [1, 0, 1])
-        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),), 1)
+        f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         back = recombine(real_pfe(x, f))
         assert poly_close(back.num, x.num, 1e-12)
         assert poly_close(back.den, x.den, 1e-12)
@@ -220,7 +216,7 @@ class TestRecombine:
     def test_poly_part_only(self):
         pf = real_pfe(
             rf([0, 1], [1]),
-            FactoredDenominator(0, (), (), 1),
+            FactoredDenominator(0, (), ()),
         )
         back = recombine(pf)
         assert back.num == Polynomial([0, 1])
@@ -229,9 +225,7 @@ class TestRecombine:
     def test_hand_checked_expansion(self):
         den = Polynomial.from_factors(linear=[(1, 1)], quadratic=[(0, 1, 1)])
         x = RationalFunction(Polynomial([1]), den)
-        f = FactoredDenominator(
-            0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),), 1
-        )
+        f = FactoredDenominator(0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),))
         back = recombine(real_pfe(x, f))
         assert poly_close(back.num, x.num, 1e-10)
         assert poly_close(back.den, x.den, 1e-10)
@@ -266,7 +260,6 @@ class TestUniqueness:
                 f.origin_mult,
                 tuple(reversed(f.linears)),
                 tuple(reversed(f.quadratics)),
-                f.scale,
             )
             pf2 = real_pfe(x, perm)
             key1 = {(t.pole, t.mult): t.amp for t in pf1.terms if type(t) is RealPole}
