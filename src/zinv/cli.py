@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .closedform import DROP_TOL, Impulse, QuadPole, RealPole, invert_expression, quad_seq0, render
+from .closedform import Impulse, QuadPole, RealPole, invert_expression, quad_seq0, render
 from .corpus import random_rational
 from .errors import ParseError, ZinvError
 from .identities import (
@@ -70,7 +70,7 @@ def _poly_part_coeffs(expr):
 def cmd_invert(args):
     docs = []
     for text in _inputs(args):
-        expr = invert_expression(text, drop_tol=args.tol)
+        expr = invert_expression(text)
         docs.append(
             {
                 "input": text,
@@ -349,12 +349,6 @@ def _build():
 
     p = sub.add_parser("invert", help="closed-form inverse transform")
     common(p)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=DROP_TOL,
-        help="relative amplitude below which expansion terms are dropped (default 1e-12)",
-    )
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("table", help="tabulate x[n] with a chosen method")
@@ -394,14 +388,12 @@ def _build():
 
 def _usage_error(args):
     """The message for the first usage rule that args break, or None."""
-    cmd = args.command
     if "n" in args and args.n < 0:
         return "--n must be >= 0"
     if "tol" in args and not math.isfinite(args.tol):
         return "--tol must be finite"
-    if "tol" in args and (args.tol < 0 or (args.tol == 0 and cmd != "invert")):
-        # invert's tol is a drop ratio, where 0 is valid; the others are pass bounds
-        return "--tol must be >= 0" if cmd == "invert" else "--tol must be > 0"
+    if "tol" in args and args.tol <= 0:
+        return "--tol must be > 0"
     if "fuzz" in args and args.fuzz is not None:
         if args.fuzz < 1:
             return "--fuzz must be >= 1"

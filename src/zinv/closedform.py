@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 from .factorize import factor_denominator
 from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
 
-DROP_TOL = 1e-12
 CHUNK = 1024  # n values per column pass of eval_sequence
 
 
@@ -139,9 +139,11 @@ def _s0(a, b, k, ns, im, off):
         totals = [t + w * x * p for t, w, x in zip(totals, ws, im[m0 : m0 + len(totals)])]
     try:
         sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
-        vals = [sign * t / den for t in totals]
-        if all(map(math.isfinite, vals)):
-            return zeros + vals
+        # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
+        if den >= sys.float_info.min:
+            vals = [sign * t / den for t in totals]
+            if all(map(math.isfinite, vals)):
+                return zeros + vals
     except OverflowError:
         pass
     raise OverflowError(f"quadratic-pole sequence overflows a float at n={ns.start}")
@@ -271,15 +273,16 @@ def eval_sequence(expr, n_max):
     return SequenceTable(tuple(values))
 
 
-def invert(x, factored=None, drop_tol=DROP_TOL):
+def invert(x, factored=None):
     """Closed-form inverse transform of a rational function.
 
     Factors the denominator (or uses a caller-supplied exact factorization)
     and expands over the reals; real_pfe's terms are the closed-form terms.
-    Terms whose amplitudes are all within drop_tol times the largest
-    amplitude are dropped, with no absolute floor; z^k monomials with k >= 1
-    in the polynomial part are kept for rendering but never fire on n >= 0,
-    and attach a warning.
+    Only exact zeros are dropped: each nonzero coefficient of the polynomial
+    part is an Impulse, and a term goes only when all its amplitudes are
+    exactly 0.0, however small they are beside the others. z^k monomials
+    with k >= 1 in the polynomial part are kept for rendering but never
+    fire on n >= 0, and attach a warning.
     """
     warnings = []
     if x.den.degree == 0:
@@ -290,19 +293,16 @@ def invert(x, factored=None, drop_tol=DROP_TOL):
         warnings.extend(pf.warnings)
         poly, pf_terms = pf.poly_part, pf.terms
 
-    amps = [*poly.coeffs, *(v for t in pf_terms for v in _amps(t))]
-    cutoff = drop_tol * max([0.0, *map(abs, amps)])
-
-    terms = [Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if abs(c) > cutoff]
+    terms = [Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if c]
     if poly.degree >= 1:
         warnings.append(
             "non-causal polynomial part: delta[n+k] terms vanish for n >= 0"
         )
-    terms += [t for t in pf_terms if max(map(abs, _amps(t))) > cutoff]
+    terms += [t for t in pf_terms if any(_amps(t))]
     return ClosedFormExpr(tuple(terms), x, tuple(warnings))
 
 
-def invert_expression(text, drop_tol=DROP_TOL):
+def invert_expression(text):
     """Parse a rational expression in z and invert it.
 
     Factored denominators in the input bypass numeric root finding.
@@ -310,7 +310,7 @@ def invert_expression(text, drop_tol=DROP_TOL):
     from .parser import parse_rational_expr
 
     x, factored = parse_rational_expr(text)
-    return invert(x, factored=factored, drop_tol=drop_tol)
+    return invert(x, factored=factored)
 
 
 # ---------------------------------------------------------------------------

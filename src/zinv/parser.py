@@ -311,9 +311,11 @@ def parse_rational_expr(text):
     factored = None
     if den.degree >= 1:
         factored = _extract_factored(den_factors, text)
-        if factored is not None and factored.degree != den.degree:
-            factored = None
-    return RationalFunction(num, den), factored
+    x = RationalFunction(num, den)
+    # x.den is shorter than den when the numerator cancelled a factor: numeric factoring
+    if factored is not None and not factored.degree == x.den.degree == den.degree:
+        factored = None
+    return x, factored
 
 
 def format_rational(x):

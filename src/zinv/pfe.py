@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import FactorizationError
 from .factorize import _expand_error, factor_denominator
@@ -24,11 +25,15 @@ from .polynomial import ONE, Z, Polynomial
 
 COND_WARN = 1e12
 _MATCH_RTOL = 1e-6
+# _lowest_terms screens coprimality mod this prime, the largest below 2**15: its
+# residues multiply to single-digit (30-bit) ints, CPython's fast path
+_P = 32749
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den with real coefficients, stored with den normalized monic and in float range."""
+    """num/den with real coefficients, stored with den normalized monic, in
+    float range and in lowest terms (_lowest_terms)."""
 
     num: Polynomial
     den: Polynomial
@@ -51,6 +56,9 @@ class RationalFunction:
                     "once divided by the denominator's leading coefficient"
                 )
             object.__setattr__(self, name, p)
+        num, den = _lowest_terms(self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def is_proper(self):
@@ -174,6 +182,47 @@ def _scaled(v, s):
     return n * (s // d)
 
 
+def _coprime_mod_p(a, b):
+    """True when the int coefficient lists a and b are coprime mod _P, hence
+    over the rationals if _P does not divide a's leading coefficient: a common
+    factor would divide a with a leading coefficient that is a unit mod _P."""
+    a, b = ([c % _P for c in p] for p in (a, b))
+    while len(b) > 1 or b and not b[-1]:
+        if not b[-1]:
+            b.pop()
+            continue
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            k, q = len(a) - len(b), a[-1] * inv % _P
+            a = a[:k] + [(u - q * v) % _P for u, v in zip(a[k:-1], b)]
+        a, b = b, a
+    return len(b) == 1
+
+
+def _lowest_terms(num, den):
+    """num and den (monic) with their common factor cancelled exactly.
+
+    A shared root is found only to rounding, where the numerator leaves a
+    spurious amplitude near 1e-16 that a pole of modulus above 1 blows up.
+    A coprime pair, the usual case, comes back as given after a screen mod
+    _P; otherwise the gcd is exact over the rationals, and each quotient
+    coefficient (dyadic; an int for int input) is rounded at most once.
+    """
+    cs = num.coeffs + den.coeffs
+    if num.degree < 1 or den.degree < 1:
+        return num, den
+    s = _common_den(cs)  # den is monic, so _P does not divide s * den.leading
+    if _coprime_mod_p(*([_scaled(c, s) for c in p.coeffs] for p in (den, num))):
+        return num, den
+    num, den = (Polynomial([Fraction(c) for c in p.coeffs]) for p in (num, den))
+    a, b = den, num
+    while not b.is_zero:
+        a, b = b, a % b
+    kind = int if all(isinstance(c, int) for c in cs) else float
+    g = a * (1 / a.leading)
+    return tuple(Polynomial([kind(c) for c in (p // g).coeffs]) for p in (num, den))
+
+
 def _local_digits(num, den, phi, k):
     """phi-adic digits of num/den's principal part at phi**k, over the integers.
 
@@ -263,17 +312,11 @@ def real_pfe(x, f):
 
 
 def _divided_by_z(x):
-    """Numerator/denominator of X(z)/z with shared z factors cancelled."""
-    num, den = x.num, x.den.shift(1)
-    while (
-        not num.is_zero
-        and den.degree > 0
-        and num.coeffs[0] == 0
-        and den.coeffs[0] == 0
-    ):
-        num = Polynomial(num.coeffs[1:])
-        den = Polynomial(den.coeffs[1:])
-    return num, den
+    """Numerator/denominator of X(z)/z; a z dividing the numerator cancels the
+    added z (x is in lowest terms, so the numerator shares no other z)."""
+    if x.num.coeff(0) == 0 and not x.num.is_zero:
+        return Polynomial(x.num.coeffs[1:]), x.den
+    return x.num, x.den.shift(1)
 
 
 def _taylor(p, z0, m):

@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,9 +23,9 @@ from zinv.closedform import (
     render,
 )
 from zinv.corpus import random_rational
-from zinv.oracles import longdiv_series
+from zinv.oracles import compare_methods, longdiv_series
 from zinv.parser import parse_rational_expr
-from zinv.pfe import RationalFunction, real_pfe
+from zinv.pfe import RationalFunction, _amps, real_pfe
 from zinv.polynomial import Polynomial
 
 
@@ -199,24 +201,58 @@ class TestTermsFromRealPfe:
             poly = tuple(
                 Impulse(float(c), -i) for i, c in enumerate(pf.poly_part.coeffs) if c
             )
-            # drop_tol=0 still drops the structurally zero terms
-            nonzero = tuple(
-                t for t in pf.terms if any(getattr(t, k, 0) for k in ("amp", "z_amp", "const_amp"))
-            )
-            assert invert(x, factored=f, drop_tol=0).terms == poly + nonzero
+            # only the structurally zero terms drop
+            nonzero = tuple(t for t in pf.terms if any(_amps(t)))
+            assert invert(x, factored=f).terms == poly + nonzero
 
-    def test_drop_tol_removes_small_term(self):
-        # the pole at 2 has an amplitude near 1e-13, under the default drop_tol
-        x, f = parse_rational_expr("(z-1.9999999999999)/((z-1)*(z-2))")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a tiny amplitude at the pole of largest modulus dominates x[n]
+            "(z-2.9999999999999)/((z-3)*(z-0.5))",
+            "(z-1.9999999999999)/((z-1)*(z-2))",
+            "((-2.07)*z^0+(0.09)*z^1+(-0.82)*z^2)/((((((0.6 z-1))*((2z+1)^3))^3) ((z+0.95)^2))"
+            "*(0.21*z-2.8253884818973027))",
+            # and one at a smaller pole still counts at the first n
+            "(z-0.5000000000001)/((z-1)*(z-0.5))",
+        ],
+    )
+    def test_small_amplitude_kept(self, text):
+        x, f = parse_rational_expr(text)
         pf = real_pfe(x, f)
-        assert [type(t) for t in pf.terms] == [RealPole, RealPole]
-        assert 0 < abs(pf.terms[1].amp) < 1e-12
-        assert invert(x, factored=f, drop_tol=0).terms == pf.terms
-        assert invert(x, factored=f).terms == pf.terms[:1]
+        assert min(abs(a) for t in pf.terms for a in _amps(t)) < 1e-12
+        e = invert(x, factored=f)
+        assert e.terms == tuple(t for t in pf.terms if any(_amps(t)))
+        got = eval_sequence(e, 60).values
+        want = longdiv_series(x, 60).values
+        scale = max(1.0, *map(abs, want))
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "text, num, den",
+        [
+            # z^2-10 divides both, and no float is a root of it
+            ("(z^2-10)/(z^3-0.5*z^2-10*z+5)", [-10, 0, 1], [5, -10, -0.5, 1]),
+            # written factored: z^2+10 becomes the pair 0 +/- i*sqrt(10), rounded
+            ("(z^2+10)/((z^2+10)*(z-0.5))", [10, 0, 1], [-5, 10, -0.5, 1]),
+            # z(z^2-2)/(z^2-2)^2: one power of z^2-2 cancels
+            ("(z^3-2*z)/(z^4-4*z^2+4)", [0, -2, 0, 1], [4, 0, -4, 0, 1]),
+        ],
+    )
+    def test_common_factor_leaves_no_term(self, text, num, den):
+        # a shared root found only to rounding would leave a ~1e-16 amplitude
+        # at a pole of modulus above 1; the exact cancellation leaves none
+        x, f = parse_rational_expr(text)
+        assert x.den.degree < len(den) - 1 and f is None
+        got = eval_sequence(invert(x, factored=f), 60).values
+        want = _exact_series(SimpleNamespace(num=Polynomial(num), den=Polynomial(den)), 60)
+        scale = max(1.0, *map(abs, want))
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
+        assert compare_methods(x, n_max=60, factored=f).passed
 
     def test_small_scale_amplitudes_kept(self):
-        # every amplitude is far below 1, but the cutoff is relative to the
-        # largest one, so all six terms stay
+        # every amplitude is far below 1, and no nonzero term is dropped,
+        # so all six terms stay
         x, f = parse_rational_expr("1/((z-123456.789)^3*(z-1e-5)^3)")
         e = invert(x, factored=f)
         assert len(e.terms) == 6
@@ -379,14 +415,18 @@ def _s0_per_n(a, b, k, n, im_pow):
     for j in range(k):
         c = math.comb(n - 1, j) * math.comb(n - k - 1 - j, k - 1 - j)
         total += (-1) ** j * c * im_pow(n - 2 * j - 1) * s2**j
-    return 2 * (-1) ** (k - 1) * total / (2 * b) ** (2 * k - 1)
+    den = (2 * b) ** (2 * k - 1)
+    if den < sys.float_info.min:  # subnormal or 0.0: too few bits to divide by
+        return math.inf
+    return 2 * (-1) ** (k - 1) * total / den
 
 
 def _table_per_n(expr, n_max):
     """Reference for eval_sequence's values: for each pole pair one running
     product walked n by n, keeping the last 2K-1 imaginary parts, and s0[n]
-    from _s0_per_n (inf past an int too large for a float); real poles from
-    real_pole_seq; term values added in term order."""
+    from _s0_per_n (inf past an int too large for a float or below a
+    subnormal divisor); real poles from real_pole_seq; term values added in
+    term order."""
     mults = {}
     for t in expr.terms:
         if isinstance(t, QuadPole):
@@ -491,6 +531,9 @@ class TestFirstFailingN:
         # a bare-z numerator reads s0[n+1], so x[n] fails one step earlier
         ("z/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=685"),
         ("(2z-3.8000001)/((z-1.9)*(z-1.9000001))", "closed-form sum overflows a float at n=1106"),
+        # (2b)^(2k-1) underflows to 0.0 for b = 1e-150, to a subnormal for b = 1e-107
+        ("1/(z^2+1e-300)^2", "quadratic-pole sequence overflows a float at n=4"),
+        ("1/(z^2+1e-214)^2", "quadratic-pole sequence overflows a float at n=4"),
     ]
 
     @pytest.mark.parametrize("text, message", CASES)

@@ -18,6 +18,7 @@ from zinv.pfe import (
     QuadPole,
     RationalFunction,
     RealPole,
+    _P,
     _amps,
     _factor,
     _divided_by_z,
@@ -284,6 +285,26 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             rf([1], [])
+
+    def test_common_factor_cancelled_exactly(self):
+        # (z^2-10)(z-0.5): no float is a root of z^2-10
+        x = rf([-10.0, 0, 1.0], [5.0, -10.0, -0.5, 1.0])
+        assert (x.num.coeffs, x.den.coeffs) == ((1.0,), (-0.5, 1.0))
+        x = rf([0, -2.0, 0, 1.0], [4.0, 0, -4.0, 0, 1.0])
+        assert (x.num.coeffs, x.den.coeffs) == ((0, 1.0), (-2.0, 0, 1.0))
+
+    def test_int_input_reduces_to_ints(self):
+        x = rf([-1, 0, 1], [2, -3, 1])  # (z-1)(z+1) / ((z-1)(z-2))
+        assert (x.num.coeffs, x.den.coeffs) == ((1, 1), (-2, 1))
+        assert all(isinstance(c, int) for c in x.num.coeffs + x.den.coeffs)
+
+    def test_common_factor_mod_p_only_is_kept(self):
+        # z + P and z share the factor z mod P but not over the rationals
+        x = rf([_P, 1], [0, 1])
+        assert (x.num.coeffs, x.den.coeffs) == ((_P, 1), (0, 1))
+
+    def test_zero_numerator_kept(self):
+        assert rf([], [-1, 1]).den == Polynomial([-1, 1])
 
     def test_integer_coefficients_survive_when_monic(self):
         x = rf([3, 2], [2, -2, 1])
