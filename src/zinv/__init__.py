@@ -50,7 +50,7 @@ from .oracles import (
     moreira_series,
     residue_value,
 )
-from .parser import batch_expressions, format_rational, parse_rational_expr
+from .parser import batch_expressions, parse_rational_expr
 from .pfe import (
     RationalFunction,
     RealPartialFraction,
@@ -88,7 +88,6 @@ __all__ = [
     "factor_denominator",
     "falling_factorial",
     "find_roots",
-    "format_rational",
     "internal_summation_holds",
     "invert",
     "invert_expression",

@@ -316,6 +316,12 @@ def invert_expression(text):
 # ---------------------------------------------------------------------------
 # rendering
 
+# per format: product separator, delta, power, binomial C(n-c,j), sine
+_STYLES = {
+    "text": ("*", "δ", "{}^({})", "C({},{})", "sin({})"),
+    "latex": (" ", r"\delta", "{}^{{{}}}", r"\binom{{{}}}{{{}}}", r"\sin({})"),
+}
+
 
 def _fmt(v):
     if v == int(v) and abs(v) < 1e15:
@@ -330,113 +336,69 @@ def _n_minus(c):
     return f"n-{c}" if c > 0 else f"n+{-c}"
 
 
-def _binom(upper_off, low, latex):
-    """C(n - upper_off, low), omitted when identically 1."""
-    if low == 0:
-        return None
-    arg = _n_minus(upper_off)
-    if latex:
-        return rf"\binom{{{arg}}}{{{low}}}"
-    return f"C({arg},{low})"
+def _signed_sum(parts):
+    """'a + b - c' from (negative, body) pairs, '-a' for a negative first."""
+    ops = ["-" if parts[0][0] else ""] + [" - " if neg else " + " for neg, _ in parts[1:]]
+    return "".join(op + body for op, (_, body) in zip(ops, parts))
 
 
-def _join(factors, latex):
-    sep = " " if latex else "*"
-    return sep.join(f for f in factors if f is not None)
-
-
-def _render_impulse(t, latex):
-    sym = r"\delta" if latex else "δ"
-    body = f"{sym}[{_n_minus(t.index)}]"
-    mag = abs(t.amp)
-    if mag != 1:
-        body = _join([_fmt(mag), body], latex)
-    return [(-1 if t.amp < 0 else 1, body)]
-
-
-def _render_real_pole(t, latex):
+def _pieces(t, style):
+    """[(amplitude, factors)] per printed piece of the term t, None factors
+    left out: one for an Impulse or a RealPole; for a QuadPole one per
+    nonzero amplitude (s1 for z_amp, then s0 for const_amp), and the piece's
+    amplitude is the prefactor amp * 2(-1)^(k-1) / (2 sin th)^(2k-1).
+    """
+    sep, delta, power, binom, sine = style
+    if isinstance(t, Impulse):
+        return [(t.amp, [f"{delta}[{_n_minus(t.index)}]"])]
     k = t.mult
-    mag = abs(t.amp)
-    base = _fmt(abs(t.pole)) if t.pole > 0 else f"({_fmt(t.pole)})"
-    expo = _n_minus(k)
-    power = f"{base}^{{{expo}}}" if latex else f"{base}^({expo})"
-    factors = [
-        _fmt(mag) if mag != 1 else None,
-        _binom(1, k - 1, latex),
-        power,
-        f"u[{_n_minus(k)}]",
-    ]
-    return [(-1 if t.amp < 0 else 1, _join(factors, latex))]
-
-
-def _render_quad_piece(amp, a, b, k, shift, latex):
-    """One of the two quadratic-pole pieces; shift=0 for s0, 1 for s1."""
-    r = math.hypot(a, b)
-    th = math.atan2(b, a)
-    pref = amp * 2.0 * (-1) ** (k - 1) / (2.0 * math.sin(th)) ** (2 * k - 1)
-    sign = -1 if pref < 0 else 1
-    mag = abs(pref)
-
-    inner = []
-    for j in range(k):
-        m = 2 * j + 1 - shift
-        sin_arg = f"{_fmt(th)}*({_n_minus(m)})" if m else f"{_fmt(th)}*n"
-        if latex:
-            sin_arg = sin_arg.replace("*", " ")
-        sin_txt = rf"\sin({sin_arg})" if latex else f"sin({sin_arg})"
-        part = _join(
-            [_binom(1 - shift, j, latex), _binom(k + 1 + j - shift, k - 1 - j, latex), sin_txt],
-            latex,
+    if isinstance(t, RealPole):
+        base = _fmt(t.pole) if t.pole > 0 else f"({_fmt(t.pole)})"
+        c = binom.format(_n_minus(1), k - 1) if k > 1 else None
+        return [(t.amp, [c, power.format(base, _n_minus(k)), f"u[{_n_minus(k)}]"])]
+    r, th = math.hypot(t.a, t.b), math.atan2(t.b, t.a)
+    try:
+        div = (2.0 * math.sin(th)) ** (2 * k - 1)
+        prefs = [amp * 2.0 * (-1) ** (k - 1) / div for amp in (t.z_amp, t.const_amp)]
+        # below the smallest normal float the divisor has too few bits to divide by
+        ok = div >= sys.float_info.min and all(map(math.isfinite, prefs))
+    except (OverflowError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise OverflowError(
+            f"quadratic-pole formula prefactor out of the float range (multiplicity {k})"
         )
-        inner.append((j % 2, part))
-    if len(inner) == 1:
-        total = inner[0][1]
-    else:
-        text = inner[0][1]
-        for odd, part in inner[1:]:
-            text += (" - " if odd else " + ") + part
-        total = f"({text})"
-
-    gate = 2 * k - shift
-    expo = _n_minus(gate)
-    power = None
-    if r != 1:
-        power = f"{_fmt(r)}^{{{expo}}}" if latex else f"{_fmt(r)}^({expo})"
-    factors = [
-        _fmt(mag) if mag != 1 else None,
-        power,
-        total,
-        f"u[{_n_minus(gate)}]",
-    ]
-    return sign, _join(factors, latex)
-
-
-def _render_quad(t, latex):
-    pieces = []
-    if t.z_amp:
-        pieces.append(_render_quad_piece(t.z_amp, t.a, t.b, t.mult, 1, latex))
-    if t.const_amp:
-        pieces.append(_render_quad_piece(t.const_amp, t.a, t.b, t.mult, 0, latex))
+    pieces, rn, angle = [], _fmt(r), _fmt(th) + sep
+    for amp, pref, shift in zip((t.z_amp, t.const_amp), prefs, (1, 0)):
+        if not amp:
+            continue
+        sines, top = [], _n_minus(1 - shift)
+        for j in range(k):
+            m = 2 * j + 1 - shift
+            arg = f"{angle}({_n_minus(m)})" if m else f"{angle}n"
+            c1 = binom.format(top, j) if j else None
+            c2 = binom.format(_n_minus(k + 1 + j - shift), k - 1 - j) if j < k - 1 else None
+            sines.append((j % 2 == 1, sep.join(filter(None, (c1, c2, sine.format(arg))))))
+        total = _signed_sum(sines) if k == 1 else f"({_signed_sum(sines)})"
+        gate = _n_minus(2 * k - shift)
+        pieces.append((pref, [power.format(rn, gate) if r != 1 else None, total, f"u[{gate}]"]))
     return pieces
 
 
 def render(expr, fmt="text"):
-    """Deterministic human-readable formula for a closed-form expression."""
-    if fmt not in ("text", "latex"):
+    """Deterministic human-readable formula for a closed-form expression.
+
+    Every piece prints as its sign, then |amplitude| unless it is 1, then its
+    factors; both formats take this one path, spelled by their _STYLES entry.
+    """
+    if fmt not in _STYLES:
         raise ValueError("format must be 'text' or 'latex'")
-    latex = fmt == "latex"
-    pieces = []
+    style = _STYLES[fmt]
+    parts = []
     for t in expr.terms:
-        if isinstance(t, Impulse):
-            pieces.extend(_render_impulse(t, latex))
-        elif isinstance(t, RealPole):
-            pieces.extend(_render_real_pole(t, latex))
-        else:
-            pieces.extend(_render_quad(t, latex))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    text = ("-" if sign < 0 else "") + body
-    for sign, body in pieces[1:]:
-        text += (" - " if sign < 0 else " + ") + body
-    return text
+        for amp, factors in _pieces(t, style):
+            mag = abs(amp)
+            if mag != 1:
+                factors = [_fmt(mag), *factors]
+            parts.append((amp < 0, style[0].join(filter(None, factors))))
+    return _signed_sum(parts) if parts else "0"

@@ -318,13 +318,6 @@ def parse_rational_expr(text):
     return x, factored
 
 
-def format_rational(x):
-    """Round-trippable text form of a rational function."""
-    if x.den.degree == 0 and x.den.coeff(0) == 1:
-        return f"({x.num})"
-    return f"({x.num})/({x.den})"
-
-
 def batch_expressions(text):
     """Expressions from batch text: one per line, '#' starts a comment."""
     out = []

@@ -305,7 +305,10 @@ def real_pfe(x, f):
         for j in range(1, k + 1):
             d = digits[k - j]
             # w**i/phi(w)**j = s**(i - deg*j) z**i/phi(z)**j, all times s/t
-            amps = [d.coeff(i) / (c * t * s ** (deg * j - 1 - i)) for i in reversed(range(deg))]
+            try:  # an int quotient too large for a float raises
+                amps = [d.coeff(i) / (c * t * s ** (deg * j - 1 - i)) for i in reversed(range(deg))]
+            except OverflowError:
+                raise OverflowError("partial-fraction amplitude out of the float range") from None
             terms.append(kind(*amps, *fields, j))
     condition, warnings = _condition(terms, rem)
     return RealPartialFraction(poly_part, tuple(terms), condition, warnings)

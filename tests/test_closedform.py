@@ -4,8 +4,10 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from zinv import closedform, corpus
@@ -627,7 +629,53 @@ class TestEvalInvariants:
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * scale
 
 
+# every input is written factored, so no pinned render depends on np.roots
+RENDER_PIN = Path(__file__).parent / "golden" / "render.txt"
+RENDER_INPUTS = [
+    "1/(z-3)",
+    "5/z^2",
+    "(z^3+2)/(z-0.5)",
+    "1/(z+1.5)^3",
+    "(2z+3)/((z^2-2z+2)^3)",
+    "z/(z^2+1)^2",
+    "1/((z-0.5)^2 (z^2-z+0.5))",
+    "(z^2-0.3)/((z^2+0.6z+0.25)^4)",
+    "-(z+1)/((z-0.25)*(z^2+z+1))",
+    "1/(z^2-2*z+1.0000000000000002)^20",
+    "3",
+    "z^2+3z",
+]
+
+
 class TestRender:
+    def test_matches_pin(self, monkeypatch):
+        """Each pin line is input, text render and latex render, tab-separated."""
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("numeric root finding reached")
+
+        monkeypatch.setattr(np, "roots", no_roots)
+        lines = RENDER_PIN.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == RENDER_INPUTS
+        for line in lines:
+            text, plain, latex = line.split("\t")
+            e = invert_expression(text)
+            assert (render(e), render(e, fmt="latex")) == (plain, latex), text
+
+    @pytest.mark.parametrize("k", [21, 22, 23])
+    def test_prefactor_out_of_float_range_fails_closed(self, k):
+        # (2 sin th)^(2k-1) is below the smallest normal float (0.0 for k >= 22),
+        # or the prefactor overflows (k = 21)
+        e = invert_expression(f"1/(z^2-2*z+1.0000000000000002)^{k}")
+        msg = rf"quadratic-pole formula prefactor out of the float range \(multiplicity {k}\)"
+        for fmt in ("text", "latex"):
+            with pytest.raises(OverflowError, match=msg):
+                render(e, fmt=fmt)
+
+    def test_largest_prefactor_renders(self):
+        e = invert_expression("1/(z^2-2*z+1.0000000000000002)^20")
+        assert render(e).startswith("-6.3867e+293*(C(n-21,19)*sin(1.4901e-08*(n-1))")
+
     def test_unit_quadratic_text(self):
         text = render(invert_expression("1/(z^2+1)"))
         assert "u[n-2]" in text

@@ -97,6 +97,12 @@ class TestRealPfe:
         assert lt.amp == 0.5
         assert qt.z_amp == -0.5 and qt.const_amp == -0.5
 
+    def test_amplitude_out_of_float_range_named(self):
+        # the amplitudes are about +-1e312: the exact int quotient overflows a float
+        x, f = parse_rational_expr("1/((z-1e-300)*(z-1.000000000001e-300))")
+        with pytest.raises(OverflowError, match="^partial-fraction amplitude out of the float range$"):
+            real_pfe(x, f)
+
     def test_improper_gets_polynomial_part(self):
         x = rf([1, 0, 0, 1], [1, 0, 1])  # (z^3+1)/(z^2+1)
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
