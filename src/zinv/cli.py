@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -58,8 +57,8 @@ def _inputs(args):
 
 
 def _term_dict(t):
-    # JSON keys are the term's fields, in declaration order
-    return {"kind": TERM_KINDS[type(t)], **dataclasses.asdict(t)}
+    # JSON keys are the term's fields, in declaration order (__init__ sets them so)
+    return {"kind": TERM_KINDS[type(t)], **vars(t)}
 
 
 def _poly_part_coeffs(expr):

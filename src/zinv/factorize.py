@@ -105,8 +105,9 @@ def find_roots(p):
     if len(coeffs) > 1:
         raw = np.roots(np.array(coeffs[::-1]))
         stripped = Polynomial(coeffs)
+        ds = stripped.derivative()
         tiny = 1e-15 * max(1.0, stripped.norm_inf)
-        roots.extend(_newton(stripped, complex(z0), iters=30, stop=tiny) for z0 in raw)
+        roots.extend(_newton(stripped, ds, complex(z0), iters=30, stop=tiny) for z0 in raw)
     out = sorted(
         ((z, abs(p(z))) for z in roots), key=lambda zr: (zr[0].real, zr[0].imag)
     )
@@ -207,14 +208,17 @@ def cluster_and_pair(p, roots):
     )
 
 
-def _newton(p, z, iters=40, stop=0.0):
-    """Newton refinement tracking the lowest-residual iterate; stops once it is <= stop.
+def _newton(p, dp, z, iters=40, stop=0.0):
+    """Newton refinement of z on p (dp its derivative) tracking the lowest-residual
+    iterate; stops once it is <= stop, or at an iterate already visited.
 
     p(z) is evaluated once per iterate: the residual's value is the next step's.
+    The step is a function of z alone: once an iterate repeats, the later
+    iterates and their residuals repeat too, so the best cannot change.
     """
-    dp = p.derivative()
     pz = p(z)
     best, best_res = z, abs(pz)
+    seen = {z}
     for _ in range(iters):
         if best_res <= stop:
             break
@@ -222,6 +226,9 @@ def _newton(p, z, iters=40, stop=0.0):
         if d == 0:
             break
         z = z - pz / d
+        if z in seen:
+            break
+        seen.add(z)
         pz = p(z)
         res = abs(pz)
         if res < best_res:
@@ -240,7 +247,7 @@ def _polish(d, skel):
     for f in skel.linears:
         r = f.r
         if f.u > 1:
-            z = _newton(d.derivative(f.u - 1), complex(r, 0.0))
+            z = _newton(d.derivative(f.u - 1), d.derivative(f.u), complex(r, 0.0))
             if abs(z.imag) <= 1e-6 * (1 + abs(z)):
                 r = z.real
         linears.append(LinearFactor(r, f.u))
@@ -248,7 +255,7 @@ def _polish(d, skel):
     for f in skel.quadratics:
         a, b = f.a, f.b
         if f.k > 1:
-            z = _newton(d.derivative(f.k - 1), complex(a, b))
+            z = _newton(d.derivative(f.k - 1), d.derivative(f.k), complex(a, b))
             if z.imag > 0:
                 a, b = z.real, z.imag
         quads.append(QuadraticFactor(a, b, f.k))

@@ -137,11 +137,11 @@ def _amps(t):
 
 
 def _factor_powers(terms):
-    """{factor: highest power} over the terms' factors."""
+    """{factor's coefficient tuple: highest power} over the terms' factors."""
     powers = {}
     for t in terms:
         phi, j = _factor(t)
-        powers[phi] = max(powers.get(phi, 0), j)
+        powers[phi.coeffs] = max(powers.get(phi.coeffs, 0), j)
     return powers
 
 
@@ -154,13 +154,13 @@ def _condition(terms, rem):
     1 when rem is zero.
     """
     powers = _factor_powers(terms)
-    norms = {phi: sum(map(abs, phi.coeffs)) for phi in powers}
+    norms = {phi: sum(map(abs, phi)) for phi in powers}
     total = 0.0
     for t in terms:
         phi_t, j = _factor(t)
         bound = sum(map(abs, _amps(t)))
         for phi, k in powers.items():
-            for _ in range(k - j if phi == phi_t else k):
+            for _ in range(k - j if phi == phi_t.coeffs else k):
                 bound *= norms[phi]  # saturates at inf, where ** would raise
         total += bound
     condition = max(1.0, total / rem.norm_inf) if rem.coeffs else 1.0

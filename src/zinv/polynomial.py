@@ -31,10 +31,11 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        self.coeffs = cs if n == len(cs) else cs[:n]
 
     @property
     def degree(self):
@@ -84,8 +85,11 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        # a missing coefficient is the int 0, and adding it turns a -0.0 into 0.0
+        return Polynomial([x + y for x, y in zip(a, b)] + [x + 0 for x in a[len(b) :]])
 
     __radd__ = __add__
 
@@ -105,12 +109,13 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = other.coeffs
+        out = [0] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for k, b in enumerate(bs, i):
+                out[k] += a * b
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -132,7 +137,7 @@ class Polynomial:
         dq = den.degree
         if self.degree < dq:
             return Polynomial(()), self
-        lead = den.leading
+        *low, lead = den.coeffs
         rem = list(self.coeffs)
         quo = [0] * (self.degree - dq + 1)
         for i in range(self.degree - dq, -1, -1):
@@ -146,8 +151,9 @@ class Polynomial:
             else:
                 c = c / lead
             quo[i] = c
-            for k in range(dq + 1):
-                rem[i + k] -= c * den.coeffs[k]
+            # rem[i + dq] is eliminated and never read again: only the lower terms update
+            for k, d in enumerate(low, i):
+                rem[k] -= c * d
         return Polynomial(quo), Polynomial(rem[:dq])
 
     def __floordiv__(self, den):

@@ -319,18 +319,56 @@ def _newton_two_evaluations(p, z, iters=40, stop=0.0):
     return best
 
 
+class _Counted(Polynomial):
+    """A polynomial that counts its evaluations."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, p):
+        super().__init__(p.coeffs)
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return super().__call__(z)
+
+
 class TestNewton:
     def test_same_iterates_as_two_evaluations_per_step(self):
         # find_roots' calls from the raw eigenvalues, and _polish's calls on
         # the first two derivatives from the polished roots
         for d in _factoring_corpus():
             p = Polynomial(d.coeffs[next(i for i, c in enumerate(d.coeffs) if c != 0) :])
+            dp = p.derivative()
             tiny = 1e-15 * max(1.0, p.norm_inf)
             for z0 in np.roots(np.array(p.coeffs[::-1])):
                 z0 = complex(z0)
                 want = _newton_two_evaluations(p, z0, iters=30, stop=tiny)
-                assert factorize._newton(p, z0, iters=30, stop=tiny) == want
+                assert factorize._newton(p, dp, z0, iters=30, stop=tiny) == want
             for z, _ in find_roots(p):
                 for m in (1, 2):
                     q = p.derivative(m)
-                    assert factorize._newton(q, z) == _newton_two_evaluations(q, z)
+                    assert factorize._newton(q, q.derivative(), z) == _newton_two_evaluations(q, z)
+
+    def test_polish_calls_stop_at_a_repeated_iterate(self):
+        # _polish's calls: derivatives 1-3 at the centroids of clustered
+        # multiple roots. Stopping at a repeated iterate returns what all 40
+        # steps return, and cuts most calls short (the step is a function of z,
+        # so past a repeat only visited residuals come back); running all 40
+        # steps, only a call whose derivative vanishes stops early.
+        calls = short = 0
+        for d in _factoring_corpus():
+            if d.leading != 1:
+                d = Polynomial(tuple(c / d.leading for c in d.coeffs))
+            roots = [z for z, _ in find_roots(d)]
+            for c, m in factorize._cluster(d, roots):
+                if m < 2 or c == 0:
+                    continue
+                for order in (1, 2, 3):
+                    q = _Counted(d.derivative(order))
+                    got = factorize._newton(q, q.derivative(), c)
+                    evaluations = q.calls
+                    assert got == _newton_two_evaluations(q, c)
+                    calls += 1
+                    short += evaluations < 41 and abs(q(got)) > 0
+        assert calls > 100 and short > calls / 2

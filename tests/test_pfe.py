@@ -51,14 +51,15 @@ def recombine(pf):
     def cofactor(target, j):
         """Product of all factors, target's power lowered by j."""
         return math.prod(
-            (phi ** (k - j if phi == target else k) for phi, k in powers.items()),
+            (Polynomial(phi) ** (k - j if phi == target else k) for phi, k in powers.items()),
             start=ONE,
         )
 
     den = cofactor(None, 0)
     num = pf.poly_part * den
     for t in pf.terms:
-        base = cofactor(*_factor(t))
+        phi, j = _factor(t)
+        base = cofactor(phi.coeffs, j)
         for i, amp in enumerate(reversed(_amps(t))):
             num = num + base.shift(i) * amp
     return RationalFunction(num, den)

@@ -143,3 +143,120 @@ class TestHousekeeping:
         assert str(Polynomial([-8, 12, -6, 1])) == "z^3 - 6*z^2 + 12*z - 8"
         assert str(Polynomial([])) == "0"
         assert str(Polynomial([0, 1])) == "z"
+
+
+# The ring operations as they were, on coefficient tuples: the references the
+# current bodies must match bit for bit (values, types and signs of zeros).
+def _init_reference(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _coeff_reference(cs, i):
+    return cs[i] if 0 <= i < len(cs) else 0
+
+
+def _add_reference(a, b):
+    n = max(len(a), len(b))
+    return _init_reference(tuple(_coeff_reference(a, i) + _coeff_reference(b, i) for i in range(n)))
+
+
+def _mul_reference(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _init_reference(out)
+
+
+def _divmod_reference(num, den):
+    dq = len(den) - 1
+    if len(num) - 1 < dq:
+        return (), num
+    lead = den[-1]
+    rem = list(num)
+    quo = [0] * (len(num) - dq)
+    for i in range(len(num) - 1 - dq, -1, -1):
+        c = rem[i + dq]
+        if c == 0:
+            continue
+        if lead == 1:
+            pass
+        elif lead == -1:
+            c = -c
+        else:
+            c = c / lead
+        quo[i] = c
+        for k in range(dq + 1):
+            rem[i + k] -= c * den[k]
+    return _init_reference(quo), _init_reference(rem[:dq])
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want), (got, want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w), (got, want)
+        for x, y in zip(*((c.real, c.imag) if isinstance(c, complex) else (c,) for c in (g, w))):
+            assert x == y and math.copysign(1, x) == math.copysign(1, y), (got, want)
+
+
+_MIXES = (("int",), ("float",), ("complex",), ("int", "float"), ("int", "float", "complex"))
+
+
+def _scalar(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "float":
+        return rng.choice((0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-5, 5)))
+    return complex(_scalar(rng, "float"), _scalar(rng, "float"))
+
+
+def _coeffs(rng, kinds, n):
+    """n coefficients of the given kinds, then up to two trailing zeros."""
+    cs = [_scalar(rng, rng.choice(kinds)) for _ in range(n)]
+    return cs + [rng.choice((0, 0.0, -0.0, 0j, complex(-0.0, -0.0))) for _ in range(rng.randint(0, 2))]
+
+
+class TestBitIdenticalToReference:
+    """+, * and divmod and the constructor give the reference's exact scalars."""
+
+    def test_constructor(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            cs = _coeffs(rng, rng.choice(_MIXES), rng.randint(0, 8))
+            want = _init_reference(cs)
+            for arg in (cs, tuple(cs), iter(cs)):
+                assert_bit_identical(Polynomial(arg).coeffs, want)
+
+    def test_add_and_mul(self):
+        rng = random.Random(22)
+        for _ in range(1000):
+            a, b = (_init_reference(_coeffs(rng, rng.choice(_MIXES), rng.randint(0, 8))) for _ in "ab")
+            p, q = Polynomial(a), Polynomial(b)
+            assert_bit_identical((p + q).coeffs, _add_reference(a, b))
+            assert_bit_identical((p * q).coeffs, _mul_reference(a, b))
+
+    @pytest.mark.parametrize("lead", ["monic", "minus_one", "other"])
+    def test_divmod(self, lead):
+        rng = random.Random(23)
+        for _ in range(1000):
+            kinds = rng.choice(_MIXES)
+            num = _init_reference(_coeffs(rng, kinds, rng.randint(0, 12)))
+            den = _coeffs(rng, kinds, rng.randint(0, 4))
+            if lead == "monic":
+                den.append(rng.choice((1, 1.0, 1 + 0j)))
+            elif lead == "minus_one":
+                den.append(rng.choice((-1, -1.0, -1 + 0j)))
+            else:
+                den.append(rng.choice((2, -3, 0.5, -1.5e-3, rng.uniform(0.1, 5), complex(0.5, -2))))
+            den = _init_reference(den)
+            q, r = divmod(Polynomial(num), Polynomial(den))
+            want_q, want_r = _divmod_reference(num, den)
+            assert_bit_identical(q.coeffs, want_q)
+            assert_bit_identical(r.coeffs, want_r)
