@@ -22,14 +22,21 @@ import time
 from . import __version__
 from .closedform import Impulse, QuadPole, RealPole, invert_expression, quad_seq0, render
 from .corpus import random_rational
-from .errors import ParseError, ZinvError
+from .errors import ParseError
 from .identities import (
     binomial_general,
     internal_summation_holds,
     pair_convolution_series,
     surjection_count,
 )
-from .oracles import SERIES_METHODS, OraclePoles, compare_methods, residue_value, within_bound
+from .oracles import (
+    METHOD_ERRORS,
+    SERIES_METHODS,
+    OraclePoles,
+    compare_methods,
+    residue_value,
+    within_bound,
+)
 from .parser import batch_expressions, parse_rational_expr
 
 DEFAULT_N = 50
@@ -418,7 +425,7 @@ def main(argv=None):
     except (ParseError, FileNotFoundError) as exc:
         _fail(str(exc))
         return 2
-    except (ZinvError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except METHOD_ERRORS as exc:
         _fail(str(exc))
         return 1
     # invert and table documents carry no verdict

@@ -284,21 +284,14 @@ def invert(x, factored=None):
     with k >= 1 in the polynomial part are kept for rendering but never
     fire on n >= 0, and attach a warning.
     """
-    warnings = []
-    if x.den.degree == 0:
-        # purely polynomial input (den normalized to 1)
-        poly, pf_terms = x.num, ()
-    else:
-        pf = real_pfe(x, factored if factored is not None else factor_denominator(x.den))
-        warnings.extend(pf.warnings)
-        poly, pf_terms = pf.poly_part, pf.terms
-
-    terms = [Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if c]
-    if poly.degree >= 1:
+    pf = real_pfe(x, factored if factored is not None else factor_denominator(x.den))
+    warnings = list(pf.warnings)
+    terms = [Impulse(float(c), -i) for i, c in enumerate(pf.poly_part.coeffs) if c]
+    if pf.poly_part.degree >= 1:
         warnings.append(
             "non-causal polynomial part: delta[n+k] terms vanish for n >= 0"
         )
-    terms += [t for t in pf_terms if any(_amps(t))]
+    terms += [t for t in pf.terms if any(_amps(t))]
     return ClosedFormExpr(tuple(terms), x, tuple(warnings))
 
 

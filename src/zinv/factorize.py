@@ -308,12 +308,15 @@ def factor_denominator(d):
     Composes find_roots and cluster_and_pair, whose cluster widths are the
     scatter radii of d's own multiple roots, polishes repeated locations, and
     accepts that one candidate only when it both re-expands to d (relative
-    error <= 1e-8) and passes the multiple-root residual test.
+    error <= 1e-8) and passes the multiple-root residual test. A nonzero
+    constant has the empty structure.
     """
-    if d.degree < 1:
-        raise ValueError("need degree >= 1 to factor")
+    if d.is_zero:
+        raise ValueError("the zero polynomial has no factor structure")
     if not d.is_real():
         raise ValueError("real coefficients required")
+    if d.degree == 0:
+        return FactoredDenominator(0, (), ())
     if d.leading != 1:
         d = Polynomial(tuple(c / d.leading for c in d.coeffs))
     roots = [z for z, _ in find_roots(d)]

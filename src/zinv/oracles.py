@@ -175,10 +175,8 @@ class OraclePoles:
 
     def __init__(self, x):
         den = _divided_by_z(x)[1]
-        self.over_z = _once(
-            lambda: factorize.factor_denominator(den).pole_list() if den.degree >= 1 else ()
-        )
-        self.pfe_over_z = _once(lambda: complex_pfe_over_z(x, poles=self.over_z()))
+        self.over_z = _once(lambda: factorize.factor_denominator(den).pole_list())
+        self.pfe_over_z = _once(lambda: complex_pfe_over_z(x, self.over_z()))
         self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
         self.residue_parts = _once(lambda: principal_parts(x.num, self.of_x()))
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FactorizationError
-from .factorize import _expand_error, factor_denominator
 from .polynomial import ONE, Z, Polynomial
 
 COND_WARN = 1e12
@@ -118,17 +117,8 @@ class RealPartialFraction:
 
     poly_part: Polynomial
     terms: tuple
-    condition: float = 0.0
-    warnings: tuple = ()
-
-
-def _factor(t):
-    """(phi, j) of a term amps/phi**j: phi = z, z - r or z**2 - 2az + (a**2+b**2)."""
-    if isinstance(t, Impulse):
-        return Z, t.index
-    if isinstance(t, RealPole):
-        return Polynomial((-t.pole, 1)), t.mult
-    return Polynomial((t.a * t.a + t.b * t.b, -2 * t.a, 1)), t.mult
+    condition: float
+    warnings: tuple
 
 
 def _amps(t):
@@ -136,32 +126,25 @@ def _amps(t):
     return (t.z_amp, t.const_amp) if isinstance(t, QuadPole) else (t.amp,)
 
 
-def _factor_powers(terms):
-    """{factor's coefficient tuple: highest power} over the terms' factors."""
-    powers = {}
-    for t in terms:
-        phi, j = _factor(t)
-        powers[phi.coeffs] = max(powers.get(phi.coeffs, 0), j)
-    return powers
-
-
-def _condition(terms, rem):
+def _condition(terms, rem, f):
     """Cancellation bound of rem = sum_t amps_t * cofactor_t, with its warning.
 
     sum_t |amps_t|_1 |cofactor_t|_1 / |rem|_inf, each cofactor's norm bounded
     by prod |phi|_1**k / |phi_t|_1**j_t (the 1-norm is submultiplicative), so
-    no product is formed. By the triangle inequality it is at least 1; it is
-    1 when rem is zero.
+    no product is formed. The factors phi**k are f's, in factor order, and
+    terms holds j = 1..k for each in turn. By the triangle inequality it is
+    at least 1; it is 1 when rem is zero.
     """
-    powers = _factor_powers(terms)
-    norms = {phi: sum(map(abs, phi)) for phi in powers}
+    factors = [(1, f.origin_mult)] if f.origin_mult else []  # (|phi|_1, k)
+    factors += [(abs(g.r) + 1, g.u) for g in f.linears]
+    factors += [(g.a * g.a + g.b * g.b + 2 * abs(g.a) + 1, g.k) for g in f.quadratics]
+    owners = [(i, j) for i, (_, k) in enumerate(factors) for j in range(1, k + 1)]
     total = 0.0
-    for t in terms:
-        phi_t, j = _factor(t)
+    for t, (own, j) in zip(terms, owners):
         bound = sum(map(abs, _amps(t)))
-        for phi, k in powers.items():
-            for _ in range(k - j if phi == phi_t.coeffs else k):
-                bound *= norms[phi]  # saturates at inf, where ** would raise
+        for i, (norm, k) in enumerate(factors):
+            for _ in range(k - j if i == own else k):
+                bound *= norm  # saturates at inf, where ** would raise
         total += bound
     condition = max(1.0, total / rem.norm_inf) if rem.coeffs else 1.0
     if not math.isfinite(condition) or condition > COND_WARN:
@@ -258,37 +241,25 @@ def _local_digits(num, den, phi, k):
 def real_pfe(x, f):
     """Expand x over the reals along the factor structure f of its denominator.
 
-    The polynomial part comes from division when the numerator degree is not
-    smaller. The terms are read off factor by factor, exactly over the
-    rationals of the factor floats: at (z-r)**u and z**o the amplitudes are
-    the first u Taylor coefficients of N/G at r (G the rest of the
-    denominator), at a quadratic power F**k the F-adic digits of
-    N * G**-1 mod F**k. Substituting z = w/s, with s the common denominator
-    of the factor values (a power of two for floats), makes every factor a
-    monic integer polynomial, so all of this runs on ints and each amplitude
-    is rounded once. Terms come in factor order (origin,
+    The polynomial part and the remainder N come from division (a nonzero
+    constant denominator has the empty f). The terms are read off factor by
+    factor, exactly over the rationals of the factor floats: at (z-r)**u and
+    z**o the amplitudes are the first u Taylor coefficients of N/G at r (G
+    the rest of the denominator), at a quadratic power F**k the F-adic digits
+    of N * G**-1 mod F**k. Substituting z = w/s, with s the common
+    denominator of the factor values (a power of two for floats), makes every
+    factor a monic integer polynomial, so all of this runs on ints and each
+    amplitude is rounded once; that exact product of the factors must match
+    the denominator to a relative 1e-6. Terms come in factor order (origin,
     f.linears, f.quadratics, each by power), zeros kept. The condition
     estimate bounds the cancellation when the terms are summed back to the
     remainder (see _condition), with a warning above 1e12.
     """
-    if _expand_error(x.den, f) > _MATCH_RTOL:
-        raise FactorizationError(
-            "inconsistent factorization: factors do not expand to the denominator"
-        )
-
-    if x.num.degree >= x.den.degree:
-        poly_part, rem = divmod(x.num, x.den)
-    else:
-        poly_part, rem = Polynomial(()), x.num
-
+    poly_part, rem = divmod(x.num, x.den)
     q = x.den.degree
-    if q == 0:
-        return RealPartialFraction(poly_part, (), 0.0, ())
 
     # z = w/s: rem(z)/D(z) = s * num(w) / (t * den(w)), num and den integer
     s = _common_den([g.r for g in f.linears] + [v for g in f.quadratics for v in (g.a, g.b)])
-    t = _common_den(rem.coeffs)
-    num = Polynomial([_scaled(c, t) * s ** (q - 1 - i) for i, c in enumerate(rem.coeffs)])
     # (term type, fields between the amplitudes and the power, w-factor, power)
     local = [(Impulse, (), Z, f.origin_mult)] if f.origin_mult else []
     for g in f.linears:
@@ -297,6 +268,17 @@ def real_pfe(x, f):
         sa, sb = _scaled(g.a, s), _scaled(g.b, s)
         local.append((QuadPole, (g.a, g.b), Polynomial((sa * sa + sb * sb, -2 * sa, 1)), g.k))
     den = math.prod((phi**k for _, _, phi, k in local), start=ONE)
+    p = den.degree
+    try:  # coefficient i of the factors' product is den_i / s**(p-i), rounded once
+        err = max(abs(c / s ** (p - i) - x.den.coeff(i)) for i, c in enumerate(den.coeffs))
+    except OverflowError:  # a coefficient out of the float range matches nothing
+        err = math.inf
+    if p != q or err / max(x.den.norm_inf, 1e-300) > _MATCH_RTOL:
+        raise FactorizationError(
+            "inconsistent factorization: factors do not expand to the denominator"
+        )
+    t = _common_den(rem.coeffs)
+    num = Polynomial([_scaled(c, t) * s ** (q - 1 - i) for i, c in enumerate(rem.coeffs)])
 
     terms = []
     for kind, fields, phi, k in local:
@@ -310,7 +292,7 @@ def real_pfe(x, f):
             except OverflowError:
                 raise OverflowError("partial-fraction amplitude out of the float range") from None
             terms.append(kind(*amps, *fields, j))
-    condition, warnings = _condition(terms, rem)
+    condition, warnings = _condition(terms, rem, f)
     return RealPartialFraction(poly_part, tuple(terms), condition, warnings)
 
 
@@ -370,15 +352,11 @@ def principal_parts(num, poles):
     return {zk: parts[zk] for zk, _ in poles}
 
 
-def complex_pfe_over_z(x, poles=None):
+def complex_pfe_over_z(x, poles):
     """principal_parts of Y(z) = X(z)/z's remainder: {z_k: {j: A_j}}.
 
-    poles is Y's pole list (factor_denominator(_divided_by_z(x)[1]).pole_list(),
-    found here if None); {} when Y's denominator is a constant.
+    poles is Y's pole list, factor_denominator(_divided_by_z(x)[1]).pole_list();
+    a constant denominator has none, and its table is {}.
     """
     num, den = _divided_by_z(x)
-    if den.degree < 1:
-        return {}
-    if poles is None:
-        poles = factor_denominator(den).pole_list()
     return principal_parts(num % den, poles)

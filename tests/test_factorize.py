@@ -111,6 +111,14 @@ class TestFactorDenominator:
         assert f.linears == (LinearFactor(2.0, 1),)
         assert f.expand() == Polynomial([-2, 1])
 
+    @pytest.mark.parametrize("c", [3, -0.5])
+    def test_constant_has_the_empty_structure(self, c):
+        assert factor_denominator(Polynomial([c])) == FactoredDenominator(0, (), ())
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            factor_denominator(Polynomial([]))
+
     def test_triple_real_root(self):
         f = factor_denominator(Polynomial([-8, 12, -6, 1]))
         assert len(f.linears) == 1 and f.quadratics == ()

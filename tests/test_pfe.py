@@ -20,13 +20,11 @@ from zinv.pfe import (
     RealPole,
     _P,
     _amps,
-    _factor,
     _divided_by_z,
-    _factor_powers,
     complex_pfe_over_z,
     real_pfe,
 )
-from zinv.polynomial import ONE, Polynomial
+from zinv.polynomial import ONE, Z, Polynomial
 
 
 def rf(num, den):
@@ -38,6 +36,24 @@ def poly_close(p, q, tol):
     return all(abs(p.coeff(i) - q.coeff(i)) <= tol for i in range(hi + 1))
 
 
+def term_factor(t):
+    """(phi, j) of a term amps/phi**j: phi = z, z - r or z**2 - 2az + (a**2+b**2)."""
+    if isinstance(t, Impulse):
+        return Z, t.index
+    if isinstance(t, RealPole):
+        return Polynomial((-t.pole, 1)), t.mult
+    return Polynomial((t.a * t.a + t.b * t.b, -2 * t.a, 1)), t.mult
+
+
+def factor_powers(terms):
+    """{factor's coefficient tuple: highest power} over the terms' factors."""
+    powers = {}
+    for t in terms:
+        phi, j = term_factor(t)
+        powers[phi.coeffs] = max(powers.get(phi.coeffs, 0), j)
+    return powers
+
+
 def recombine(pf):
     """Sum a real expansion back over the common denominator.
 
@@ -46,7 +62,7 @@ def recombine(pf):
     the terms' own factors out in floats, sharing nothing with real_pfe's
     integer expansion.
     """
-    powers = _factor_powers(pf.terms)
+    powers = factor_powers(pf.terms)
 
     def cofactor(target, j):
         """Product of all factors, target's power lowered by j."""
@@ -58,11 +74,16 @@ def recombine(pf):
     den = cofactor(None, 0)
     num = pf.poly_part * den
     for t in pf.terms:
-        phi, j = _factor(t)
+        phi, j = term_factor(t)
         base = cofactor(phi.coeffs, j)
         for i, amp in enumerate(reversed(_amps(t))):
             num = num + base.shift(i) * amp
     return RationalFunction(num, den)
+
+
+def table_over_z(x):
+    """complex_pfe_over_z at the poles of X(z)/z's denominator, as the oracles call it."""
+    return complex_pfe_over_z(x, factor_denominator(_divided_by_z(x)[1]).pole_list())
 
 
 def assert_exact_conjugates(table):
@@ -129,6 +150,46 @@ class TestRealPfe:
             real_pfe(x, wrong)
 
     @pytest.mark.parametrize(
+        "x, f",
+        [
+            # (z + 3163)(z - 3162) = z^2 + z - 10001406 agrees with z - 10001406
+            # to 1e-7 of its norm, but not in degree
+            (
+                rf([1], [-10001406, 1]),
+                FactoredDenominator(0, (LinearFactor(-3163.0, 1), LinearFactor(3162.0, 1)), ()),
+            ),
+            (rf([1], [1, 0, 1]), FactoredDenominator(0, (LinearFactor(1.0, 1),), ())),
+            (rf([1, 2], [1]), FactoredDenominator(0, (LinearFactor(0.5, 1),), ())),
+            # the product's constant coefficient, 1e600, is beyond the float range
+            (rf([1], [1, 0, 1]), FactoredDenominator(0, (LinearFactor(1e300, 2),), ())),
+        ],
+        ids=["higher-degree", "lower-degree", "constant-denominator", "out-of-float-range"],
+    )
+    def test_structure_of_another_denominator_rejected(self, x, f):
+        with pytest.raises(FactorizationError, match="inconsistent factorization"):
+            real_pfe(x, f)
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            # expanded: factor_denominator checks its candidate once, real_pfe
+            # checks the exact product it inverts
+            ("(z^2+1)/(z^6 - 1.5*z^5 + 1.5*z^4 - z^3 + 0.75*z^2 - 0.375*z + 0.125)", 1),
+            # factored by the parser: nothing multiplies the factors out in floats
+            ("1/((z-0.5)^2*(z^2+1))", 0),
+        ],
+        ids=["expanded", "factored"],
+    )
+    def test_invert_expands_only_a_numeric_factoring(self, monkeypatch, text, calls):
+        expanded = []
+        expand = FactoredDenominator.expand
+        monkeypatch.setattr(
+            FactoredDenominator, "expand", lambda f: expanded.append(f) or expand(f)
+        )
+        invert_expression(text)
+        assert len(expanded) == calls
+
+    @pytest.mark.parametrize(
         "linears, quads",
         [
             ((LinearFactor(1.0, 1), LinearFactor(1.0, 1)), ()),
@@ -172,22 +233,22 @@ class TestRealPfe:
 class TestComplexPfeOverZ:
     def test_unit_quadratic(self):
         # 1/(z^2+1): Y = 1/(z(z^2+1)) -> 1 at the origin, -1/2 at +/-i
-        table = complex_pfe_over_z(rf([1], [1, 0, 1]))
+        table = table_over_z(rf([1], [1, 0, 1]))
         assert table == {-1j: {1: -0.5}, 0j: {1: 1.0}, 1j: {1: -0.5}}
         assert_exact_conjugates(table)
 
     def test_shared_z_cancels(self):
         # z/(z-1): Y = 1/(z-1), one simple pole with unit coefficient
-        assert complex_pfe_over_z(rf([0, 1], [-1, 1])) == {1.0: {1: 1.0}}
+        assert table_over_z(rf([0, 1], [-1, 1])) == {1.0: {1: 1.0}}
 
     def test_constant_denominator_has_no_parts(self):
-        # z: Y = 1 has no pole
-        assert complex_pfe_over_z(rf([0, 1], [1])) == {}
+        # z: Y = 1 has no pole, and its denominator the empty factor structure
+        assert table_over_z(rf([0, 1], [1])) == {}
 
     def test_origin_coefficient_of_multiple_pair(self):
         # (2z+3)/((z^2-2z+2)^3): coefficient at the origin of Y is 3/r^6 = 3/8
         den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
-        table = complex_pfe_over_z(RationalFunction(Polynomial([3, 2]), den))
+        table = table_over_z(RationalFunction(Polynomial([3, 2]), den))
         assert table[0j][1] == pytest.approx(0.375, abs=1e-12)
 
     def test_keys_follow_the_pole_order_and_powers_ascend(self):
@@ -200,13 +261,12 @@ class TestComplexPfeOverZ:
             assert list(table) == [z for z, _ in order]
             for z, m in order:
                 assert list(table[z]) == list(range(1, m + 1))
-        assert complex_pfe_over_z(x) == complex_pfe_over_z(x, poles)
 
     def test_conjugate_closure_exact(self):
         rng = random.Random(31)
         for _ in range(20):
             x, _ = random_rational(rng)
-            table = complex_pfe_over_z(x)
+            table = table_over_z(x)
             assert_exact_conjugates(table)
             assert all(
                 a.imag == 0.0 for z, part in table.items() if z.imag == 0 for a in part.values()

@@ -25,6 +25,17 @@ def test_oracles_import_only_their_own_route():
                 assert names <= ORACLE_IMPORTS[node.module], (node.module, names)
 
 
+def test_pfe_imports_only_errors_and_polynomial():
+    # the real route stands on exact polynomial arithmetic, not on the factoring
+    tree = ast.parse((ROOT / "src/zinv/pfe.py").read_text())
+    modules = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert modules == {"errors", "polynomial"}
+
+
 # what identities may take from the package: the sweep checks the closed
 # form, so it shares no code with it beyond the table type
 IDENTITY_IMPORTS = {"closedform": {"SequenceTable"}, "errors": {"ConjugateSymmetryError"}}
