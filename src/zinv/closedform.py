@@ -22,19 +22,20 @@ r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
 with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
 is evaluated in exact integers with one correctly rounded final division, and
 non-integer data in floats. One formula body, _s0, evaluates a range of n:
-each j-th summand is one list pass, t + w * Im * (a^2+b^2)^j, whose exact
-integer weight w = (-1)^j C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained
+each j-th summand is one list pass, t + w * Im * (-1)^j (a^2+b^2)^j, whose
+exact integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained
 products without the C(.,0) = 1 factors, with each C(m,1) = m factor the
-range of m itself; the passes are added from an int 0
-in j order and one more pass divides, the operations of a value-by-value
-loop in its order. A quadratic term's column is one fused pass,
+range of m itself; the passes add to totals from an int 0 in j order and
+the last also divides, the operations of a value-by-value loop in order.
+A quadratic term's column is one fused pass,
 0.0 + z_amp*s1 + const_amp*s0, without the piece of a zero amplitude.
 quad_seq0 runs _s0 on one n with powers by binary exponentiation
 (random access). eval_sequence walks n = 0..N once over all terms, CHUNK
 values of n at a time: each pole pair keeps one running product (a+ib)^m,
 shared by all its multiplicities and by s1, with only the last 2K-1 powers
 carried from chunk to chunk so exact integer powers never fill an
-O(N^2)-bit table, and the chunk's term columns are summed in term order.
+O(N^2)-bit table, and each term's column is added to the chunk's running
+sum, in term order, as it is built.
 That is still this sum, not the denominator's recurrence: the recurrence is
 the long-division oracle, which must stay independent. Overflow has one
 rule and one path, for int and float data alike: a term's column raises
@@ -51,7 +52,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .factorize import factor_denominator
 from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
@@ -111,38 +112,35 @@ def _s0(a, b, k, ns, im, off):
     n = ns.start, if one is not a finite float.
 
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
-    j-th summand is one pass over ns: its exact integer weight
-    (-1)^j C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products, which
-    leaves out the factors C(n-1,0) (j = 0) and C(n-2k,0) (j = k-1) that are
-    1 and reads a C(m,1) = m factor off its range, and each pass adds
-    w * Im * (a^2+b^2)^j to totals that start from int 0, in j order. So int
-    data gives exact integer totals and one correctly rounded division, and
-    float data the same float operations in the same order as a
-    value-by-value loop; the body takes any number type.
+    j-th summand is one pass over ns adding w * Im * p to totals that start
+    from int 0 (a -0.0 first summand adds to 0.0), in j order; the last pass
+    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) leaves out
+    the factors that are 1 (k = 1 has none) and reads C(m,1) = m off its
+    range; p = (-1)^j (a^2+b^2)^j carries the sign, exactly. So int data gives
+    exact integer totals and one correctly rounded division, and float data
+    the float operations of a value-by-value loop in its order.
     """
     lo = min(max(ns.start, 2 * k), ns.stop)
     zeros = [0.0] * (lo - ns.start)
     if lo == ns.stop:
         return zeros
-    s2 = a * a + b * b
-    totals = [0] * (ns.stop - lo)
+    s2, totals = a * a + b * b, repeat(0)
     for j in range(k):
-        p, m0 = s2**j, lo - 2 * j - 1 - off
-        ws = repeat(1)
-        if j:
-            ws = _comb_col(range(lo - 1, ns.stop - 1), j)
-        if j < k - 1:
-            c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
-            ws = map(operator.mul, ws, c2) if j else c2
-        if j % 2:
-            ws = map(operator.neg, ws)
-        totals = [t + w * x * p for t, w, x in zip(totals, ws, im[m0 : m0 + len(totals)])]
+        p, m0 = (-1) ** j * s2**j, lo - 2 * j - 1 - off
+        xs = im[m0 : m0 + ns.stop - lo]
+        ws = _comb_col(range(lo - 1, ns.stop - 1), j) if j else None
+        if j == k - 1:  # the last pass, below, also divides
+            break
+        c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
+        ws = map(operator.mul, ws, c2) if j else c2
+        totals = [t + w * x * p for t, w, x in zip(totals, ws, xs)]
     try:
         sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
         # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
         if den >= sys.float_info.min:
-            vals = [sign * t / den for t in totals]
-            if all(map(math.isfinite, vals)):
+            vals = ([sign * (0 + x) / den for x in xs] if k == 1 else
+                    [sign * (t + w * x * p) / den for t, w, x in zip(totals, ws, xs)])
+            if _finite(vals):
                 return zeros + vals
     except OverflowError:
         pass
@@ -179,19 +177,25 @@ def _pair_chunks(a, b, k, n_end):
 
 def _real_pole_col(t, ns):
     """[x[n] for n in ns] of the RealPole t; OverflowError, named for
-    n = ns.start, if one is not a finite float.
+    n = ns.start, if one is not a finite float. An int pole's powers are one
+    running product, exactly pole**e; a float pole's are pow per value, since
+    a running product would round at every step.
     """
     amp, pole, k = t.amp, t.pole, t.mult
     lo = min(max(ns.start, k), ns.stop)
-    es = range(lo - k, ns.stop - k)
+    zeros, es = [0.0] * (lo - ns.start), range(lo - k, ns.stop - k)
+    if lo == ns.stop:
+        return zeros
+    pows = (accumulate(repeat(pole, len(es) - 1), operator.mul, initial=pole**es.start)
+            if isinstance(pole, int) else map(pow, repeat(pole), es))
     try:
         if k == 1:  # C(n-1, 0) = 1
-            vals = [amp * pole**e for e in es]
+            vals = [amp * p for p in pows]
         else:
             cs = _comb_col(range(lo - 1, ns.stop - 1), k - 1)
-            vals = [amp * c * pole**e for c, e in zip(cs, es)]
-        if all(map(math.isfinite, vals)):
-            return [0.0] * (lo - ns.start) + vals
+            vals = [amp * c * p for c, p in zip(cs, pows)]
+        if _finite(vals):
+            return zeros + vals
     except OverflowError:
         pass
     raise OverflowError(f"real-pole sequence overflows a float at n={ns.start}")
@@ -231,15 +235,21 @@ def _term_col(t, ns, powers):
     raise TypeError(f"not a closed-form term: {t!r}")
 
 
+def _finite(vals):
+    """All finite floats: one sum, value by value if it is not (finite ones can sum to inf)."""
+    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+
+
 def _sum(terms, ns, powers):
-    """[x[n] for n in ns]: the term columns summed in term order.
+    """[x[n] for n in ns]: the term columns added from int 0 in term order, as built.
 
     OverflowError, named for n = ns.start, if a term or the sum is not a
     finite float: exact for a one-element ns.
     """
-    cols = [_term_col(t, ns, powers) for t in terms]
-    vals = list(map(sum, zip(*cols))) if cols else [0] * len(ns)
-    if not all(map(math.isfinite, vals)):
+    vals = [0] * len(ns)
+    for t in terms:
+        vals = list(map(operator.add, vals, _term_col(t, ns, powers)))
+    if not _finite(vals):
         raise OverflowError(f"closed-form sum overflows a float at n={ns.start}")
     return vals
 

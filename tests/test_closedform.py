@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import random
 import sys
 from collections import deque
@@ -265,6 +267,12 @@ class TestTermsFromRealPfe:
         assert all(abs(g - w) <= 1e-9 * scale for g, w in zip(got, want))
 
 
+def _in_term_order(values):
+    """0 + v1 + v2 + ..., left to right from an int 0: the additions of
+    sum() up to Python 3.11 (3.12 compensates the rounding of float sums)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _per_n(expr, n_max):
     """Reference for eval_sequence: each x[n] from the random-access API,
     term values added in term order."""
@@ -281,7 +289,7 @@ def _per_n(expr, n_max):
             val += t.const_amp * quad_seq0(t.a, t.b, t.mult, n)
         return val
 
-    return tuple(sum(value(t, n) for t in expr.terms) for n in range(n_max + 1))
+    return tuple(_in_term_order(value(t, n) for t in expr.terms) for n in range(n_max + 1))
 
 
 def _bits(values):
@@ -462,7 +470,7 @@ def _table_per_n(expr, n_max):
             v = v + t.const_amp * base[n]
         return v
 
-    return tuple(sum(value(t, n) for t in expr.terms) for n in range(n_max + 1))
+    return tuple(_in_term_order(value(t, n) for t in expr.terms) for n in range(n_max + 1))
 
 
 class TestColumnTable:
@@ -520,6 +528,57 @@ class TestColumnTable:
             assert _bits(eval_sequence(expr, n_max).values) == _bits(_table_per_n(expr, n_max))
 
 
+class TestSignOfZero:
+    """A zero's sign is part of a value (repr and JSON print it): on a pair
+    with a = +/-0.0 every other s0[n] is a zero, and the per-n formula's
+    totals start from an int 0, which turns a -0.0 summand into 0.0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.75), (-0.0, 0.5)])
+    def test_quad_seq0(self, a, b, k):
+        for n in [*range(40), *range(1018, 1030)]:
+            ref = _s0_per_n(a, b, k, n, lambda m: closedform._gauss_pow(a, b, m)[1])
+            assert repr(quad_seq0(a, b, k, n)) == repr(ref)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.75), (-0.0, 0.5)])
+    def test_eval_sequence_past_a_chunk(self, a, b, k):
+        for z_amp, const_amp in ((0.0, 1.0), (1.5, 0.0), (-0.5, 2.0)):
+            expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None)
+            assert _bits(eval_sequence(expr, 1100).values) == _bits(_table_per_n(expr, 1100))
+
+
+class TestIntegerRealPoles:
+    """A real pole given as an int: the column against the per-n formula
+    amp * C(n-1,k-1) * pole**(n-k), by repr, up to the first value that is
+    not a finite float, across chunk boundaries."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("pole", [1, -1, 2, -2, 3])
+    def test_column_matches_per_n(self, pole, k):
+        amp, n_max = -1.3, 2100  # past two chunk boundaries
+        ref = []
+        for n in range(n_max + 1):
+            try:
+                v = amp * math.comb(n - 1, k - 1) * pole ** (n - k) if n >= k else 0.0
+            except OverflowError:
+                break
+            if not math.isfinite(v):
+                break
+            ref.append(v)
+        assert _bits(real_pole_seq(amp, pole, k, n) for n in range(len(ref))) == _bits(ref)
+        expr = ClosedFormExpr((RealPole(amp, pole, k),), None)
+        for m in {len(ref) - 1, len(ref) // 2, closedform.CHUNK - 1, closedform.CHUNK}:
+            if m < len(ref):
+                assert _bits(eval_sequence(expr, m).values) == _bits(ref[: m + 1])
+        if len(ref) <= n_max:
+            msg = f"^real-pole sequence overflows a float at n={len(ref)}$"
+            with pytest.raises(OverflowError, match=msg):
+                eval_sequence(expr, n_max)
+            with pytest.raises(OverflowError, match=msg):
+                real_pole_seq(amp, pole, k, len(ref))
+
+
 class TestFirstFailingN:
     """An overflow names the first n whose value is not a finite float,
     over all terms, and nothing past that n's chunk is evaluated."""
@@ -529,6 +588,9 @@ class TestFirstFailingN:
         ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=664"),
         ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=657"),
         ("1/(z-1.9)^3", "real-pole sequence overflows a float at n=1089"),
+        # int poles: exact int powers, first rounded where the amplitude multiplies them
+        ("1/(z-2)^2", "real-pole sequence overflows a float at n=1017"),
+        ("1/(z+3)", "real-pole sequence overflows a float at n=648"),
         ("1/((z^2+1)^3 (z^2-2z+2)^2)", "quadratic-pole sequence overflows a float at n=2032"),
         # a bare-z numerator reads s0[n+1], so x[n] fails one step earlier
         ("z/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=685"),
