@@ -16,8 +16,6 @@ from .closedform import (
     eval_sequence,
     invert,
     invert_expression,
-    quad_seq0,
-    real_pole_seq,
     render,
 )
 from .errors import (
@@ -96,9 +94,7 @@ __all__ = [
     "moreira_series",
     "pair_convolution_series",
     "parse_rational_expr",
-    "quad_seq0",
     "real_pfe",
-    "real_pole_seq",
     "render",
     "residue_value",
     "surjection_count",

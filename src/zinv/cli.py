@@ -20,7 +20,9 @@ import sys
 import time
 
 from . import __version__
-from .closedform import Impulse, QuadPole, RealPole, invert_expression, quad_seq0, render
+from .closedform import (
+    ClosedFormExpr, Impulse, QuadPole, RealPole, eval_sequence, invert_expression, render
+)
 from .corpus import random_rational
 from .errors import ParseError
 from .identities import (
@@ -233,8 +235,9 @@ def _convolution_devs():
     for a, b in CONV_GRID_AB:
         for k in range(1, 5):
             series = pair_convolution_series(a, b, k, 40).values
+            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),), None), 40)
             for n in range(41):
-                yield [a, b, k, n, abs(series[n] - quad_seq0(a, b, k, n))]
+                yield [a, b, k, n, abs(series[n] - s0[n])]
 
 
 def cmd_identities(args):

@@ -21,29 +21,28 @@ Evaluation regroups each trig factor as
 r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
 with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
 is evaluated in exact integers with one correctly rounded final division, and
-non-integer data in floats. One formula body, _s0, evaluates a range of n:
-each j-th summand is one list pass, t + w * Im * (-1)^j (a^2+b^2)^j, whose
-exact integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained
-products without the C(.,0) = 1 factors, with each C(m,1) = m factor the
-range of m itself; the passes add to totals from an int 0 in j order and
-the last also divides, the operations of a value-by-value loop in order.
-A quadratic term's column is one fused pass,
-0.0 + z_amp*s1 + const_amp*s0, without the piece of a zero amplitude.
-quad_seq0 runs _s0 on one n with powers by binary exponentiation
-(random access). eval_sequence walks n = 0..N once over all terms, CHUNK
-values of n at a time: each pole pair keeps one running product (a+ib)^m,
-shared by all its multiplicities and by s1, with only the last 2K-1 powers
-carried from chunk to chunk so exact integer powers never fill an
-O(N^2)-bit table, and each term's column is added to the chunk's running
-sum, in term order, as it is built.
+non-integer data in floats. eval_sequence is the one evaluator: it walks
+n = 0..N once over all terms, CHUNK values of n at a time. Each pole pair
+keeps one running product (a+ib)^m, shared by all its multiplicities and by
+s1, with only the last 2K-1 powers carried from chunk to chunk so exact
+integer powers never fill an O(N^2)-bit table. One formula body, _s0,
+evaluates a chunk: each j-th summand is one list pass,
+t + w * Im * (-1)^j (a^2+b^2)^j, whose exact integer weight
+w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products without the
+C(.,0) = 1 factors, with each C(m,1) = m factor the range of m itself; the
+passes add to totals from an int 0 in j order and the last also divides, the
+operations of a value-by-value loop in order. A quadratic term's column is
+one fused pass, 0.0 + z_amp*s1 + const_amp*s0, without the piece of a zero
+amplitude, and each term's column is added to the chunk's running sum, in
+term order, as it is built.
 That is still this sum, not the denominator's recurrence: the recurrence is
-the long-division oracle, which must stay independent. Overflow has one
-rule and one path, for int and float data alike: a term's column raises
-OverflowError at the first n whose value is not a finite float, or the sum
-does when every term is finite. Validation is the term types' own:
-quad_seq0 and real_pole_seq build the term they evaluate. The supports are
-gated explicitly: without the gates the k=1 formula is nonzero at small n
-where the true sequence must vanish.
+the long-division oracle, which must stay independent. The formula bodies
+are plain arithmetic; the float range has one rule, for int and float data
+alike, applied in two places: _term_col raises OverflowError, named for the
+term's kind, at the first n whose s0 or real-pole value is not a finite
+float, and _sum does when every term is finite but their sum is not. The
+supports are gated explicitly: without the gates the k=1 formula is nonzero
+at small n where the true sequence must vanish.
 """
 
 from __future__ import annotations
@@ -82,34 +81,14 @@ class SequenceTable:
         return self.values[n]
 
 
-def _gauss_pow(re, im, m):
-    """(re + i*im)**m by binary exponentiation; exact for int components."""
-    rr, ri = 1, 0
-    while m:
-        if m & 1:
-            rr, ri = rr * re - ri * im, rr * im + ri * re
-        re, im = re * re - im * im, 2 * re * im
-        m >>= 1
-    return rr, ri
-
-
-def _pair(a, b, k):
-    """Pole data that QuadPole accepts: int components when both are integer-valued."""
-    QuadPole(0.0, 0.0, a, b, k)
-    ai, bi = int(a), int(b)
-    if a == ai and b == bi:
-        return ai, bi
-    return float(a), float(b)
-
-
 def _comb_col(ms, r):
     """C(m, r) for m in ms, r >= 1: the range itself when r = 1."""
     return ms if r == 1 else map(math.comb, ms, repeat(r))
 
 
 def _s0(a, b, k, ns, im, off):
-    """[s0[n] for n in ns] for a +/- ib from _pair; OverflowError, named for
-    n = ns.start, if one is not a finite float.
+    """[s0[n] for n in ns] for a +/- ib from _pair_chunks, unchecked: a value
+    may be inf or nan, and OverflowError escapes as it is raised.
 
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
     j-th summand is one pass over ns adding w * Im * p to totals that start
@@ -134,36 +113,23 @@ def _s0(a, b, k, ns, im, off):
         c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
         ws = map(operator.mul, ws, c2) if j else c2
         totals = [t + w * x * p for t, w, x in zip(totals, ws, xs)]
-    try:
-        sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
-        # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
-        if den >= sys.float_info.min:
-            vals = ([sign * (0 + x) / den for x in xs] if k == 1 else
-                    [sign * (t + w * x * p) / den for t, w, x in zip(totals, ws, xs)])
-            if _finite(vals):
-                return zeros + vals
-    except OverflowError:
-        pass
-    raise OverflowError(f"quadratic-pole sequence overflows a float at n={ns.start}")
-
-
-def quad_seq0(a, b, k, n):
-    """Sequence for a constant numerator over (z^2-2az+(a^2+b^2))**k.
-
-    Zero for n < 2k. Integer-valued (a, b) are evaluated exactly.
-    """
-    a, b = _pair(a, b, k)
-    off = max(0, n - 2 * k + 1)
-    return _s0(a, b, k, range(n, n + 1), [_gauss_pow(a, b, m)[1] for m in range(off, n)], off)[0]
+    sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
+    # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
+    if den < sys.float_info.min:
+        raise OverflowError
+    if k == 1:
+        return zeros + [sign * (0 + x) / den for x in xs]
+    return zeros + [sign * (t + w * x * p) / den for t, w, x in zip(totals, ws, xs)]
 
 
 def _pair_chunks(a, b, k, n_end):
-    """(a, b, im, off) per CHUNK of n < n_end: a, b from _pair, and
-    im[m - off] = Im((a+ib)**m) for the m that _s0 reads in the chunk, from
-    one running product keeping the last 2k-1 powers of the chunk before
-    (exact integer powers grow without bound: a full table is O(N^2) bits).
+    """(a, b, im, off) per CHUNK of n < n_end: a, b as ints when both are
+    integer-valued, else as floats, and im[m - off] = Im((a+ib)**m) for the m
+    that _s0 reads in the chunk, from one running product keeping the last
+    2k-1 powers of the chunk before (exact integer powers grow without bound:
+    a full table is O(N^2) bits).
     """
-    a, b = _pair(a, b, k)
+    a, b = (int(a), int(b)) if a == int(a) and b == int(b) else (float(a), float(b))
     keep = 2 * k - 1
     im = [0] * keep  # the m < 0 are never read
     re, cur = 1, 0
@@ -176,8 +142,8 @@ def _pair_chunks(a, b, k, n_end):
 
 
 def _real_pole_col(t, ns):
-    """[x[n] for n in ns] of the RealPole t; OverflowError, named for
-    n = ns.start, if one is not a finite float. An int pole's powers are one
+    """[x[n] for n in ns] of the RealPole t, unchecked: a value may be inf,
+    and OverflowError escapes as it is raised. An int pole's powers are one
     running product, exactly pole**e; a float pole's are pow per value, since
     a running product would round at every step.
     """
@@ -188,51 +154,50 @@ def _real_pole_col(t, ns):
         return zeros
     pows = (accumulate(repeat(pole, len(es) - 1), operator.mul, initial=pole**es.start)
             if isinstance(pole, int) else map(pow, repeat(pole), es))
-    try:
-        if k == 1:  # C(n-1, 0) = 1
-            vals = [amp * p for p in pows]
-        else:
-            cs = _comb_col(range(lo - 1, ns.stop - 1), k - 1)
-            vals = [amp * c * p for c, p in zip(cs, pows)]
-        if _finite(vals):
-            return zeros + vals
-    except OverflowError:
-        pass
-    raise OverflowError(f"real-pole sequence overflows a float at n={ns.start}")
-
-
-def real_pole_seq(amp, pole, k, n):
-    """amp * C(n-1, k-1) * pole**(n-k); zero for n < k; OverflowError if not finite."""
-    return _real_pole_col(RealPole(amp, pole, k), range(n, n + 1))[0]
+    if k == 1:  # C(n-1, 0) = 1
+        return zeros + [amp * p for p in pows]
+    cs = _comb_col(range(lo - 1, ns.stop - 1), k - 1)
+    return zeros + [amp * c * p for c, p in zip(cs, pows)]
 
 
 def _term_col(t, ns, powers):
-    """t's values for n in ns; OverflowError, named for n = ns.start, if one
-    is not a finite float.
+    """t's values for n in ns; OverflowError, named for t's kind and for
+    n = ns.start, if one s0 or real-pole value is not a finite float.
 
-    powers[t.a, t.b] = (a, b, im, off): the pair from _pair and its Gaussian
-    powers for _s0, which reach one past ns for the z-numerator piece.
+    powers[t.a, t.b] = (a, b, im, off): the pair and its Gaussian powers from
+    _pair_chunks for _s0, which reach one past ns for the z-numerator piece.
     """
     if isinstance(t, Impulse):
         col = [0.0] * len(ns)
         if t.index in ns:
             col[t.index - ns.start] = t.amp
         return col
+    try:
+        if isinstance(t, RealPole):
+            kind = "real-pole"
+            s = _real_pole_col(t, ns)
+        elif isinstance(t, QuadPole):
+            kind = "quadratic-pole"
+            # s1[n] = s0[n+1]: s0 one past ns only where s1 is used, so that
+            # the last n with a finite value is not taken for a failing one
+            a, b, im, off = powers[t.a, t.b]
+            s = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(t.z_amp)), im, off)
+        else:
+            raise TypeError(f"not a closed-form term: {t!r}")
+        ok = _finite(s)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise OverflowError(f"{kind} sequence overflows a float at n={ns.start}")
     if isinstance(t, RealPole):
-        return _real_pole_col(t, ns)
-    if isinstance(t, QuadPole):
-        a, b, im, off = powers[t.a, t.b]
-        za, ca = t.z_amp, t.const_amp
-        # s1[n] = s0[n+1]: s0 one past ns only where s1 is used, so that the
-        # last n with a finite value is not taken for a failing one
-        s = _s0(a, b, t.mult, range(ns.start, ns.stop + bool(za)), im, off)
-        # the float operations of adding each nonzero piece to 0.0 in turn
-        if za and ca:
-            return [0.0 + za * s1 + ca * s0 for s1, s0 in zip(s[1:], s)]
-        if za:
-            return [0.0 + za * s1 for s1 in s[1:]]
-        return [0.0 + ca * s0 for s0 in s]
-    raise TypeError(f"not a closed-form term: {t!r}")
+        return s
+    za, ca = t.z_amp, t.const_amp
+    # the float operations of adding each nonzero piece to 0.0 in turn
+    if za and ca:
+        return [0.0 + za * s1 + ca * s0 for s1, s0 in zip(s[1:], s)]
+    if za:
+        return [0.0 + za * s1 for s1 in s[1:]]
+    return [0.0 + ca * s0 for s0 in s]
 
 
 def _finite(vals):

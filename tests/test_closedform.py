@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zinv import closedform, corpus
+from zinv import closedform, corpus, identities
 
 from zinv.closedform import (
     ClosedFormExpr,
@@ -22,8 +22,6 @@ from zinv.closedform import (
     eval_sequence,
     invert,
     invert_expression,
-    quad_seq0,
-    real_pole_seq,
     render,
 )
 from zinv.corpus import random_rational
@@ -33,60 +31,72 @@ from zinv.pfe import RationalFunction, _amps, real_pfe
 from zinv.polynomial import Polynomial
 
 
-class TestQuadSeq0:
-    def test_unit_pair_alternates(self):
-        # pure rotation pair: 0,0 then 1,0,-1,0,1,... (cosine pattern, lag 2)
-        vals = [quad_seq0(0, 1, 1, n) for n in range(9)]
-        assert vals == [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
-
-    def test_multiplicity_two_frozen(self):
-        # frozen from the long-division oracle on 1/(z^2+1)^2:
-        # series z^-4 - 2 z^-6 + 3 z^-8 - ...
-        assert quad_seq0(0, 1, 2, 4) == 1.0
-        assert quad_seq0(0, 1, 2, 6) == -2.0
-        assert quad_seq0(0, 1, 2, 8) == 3.0
-
-    def test_matches_longdiv_oracle(self):
-        den = Polynomial.from_factors(quadratic=[(0, 1, 2)])
-        ref = longdiv_series(RationalFunction(Polynomial([1]), den), 20).values
-        got = [quad_seq0(0, 1, 2, n) for n in range(21)]
-        assert got == pytest.approx(ref, abs=1e-12)
-
-    def test_zero_prefix(self):
-        for k in range(1, 5):
-            for n in range(2 * k):
-                assert quad_seq0(1.0, 2.0, k, n) == 0.0
-            assert quad_seq0(0.3, 0.7, k, 2 * k - 1) == 0.0
-
-    def test_rejects_non_pair(self):
-        with pytest.raises(ValueError, match="not a complex pair"):
-            quad_seq0(1.0, 0.0, 1, 5)
-        with pytest.raises(ValueError, match="not a complex pair"):
-            quad_seq0(1.0, -1.0, 1, 5)
-        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
-            quad_seq0(1.0, 1.0, 0, 5)
-
-    def test_float_pair_against_longdiv(self):
-        a, b, k = 0.4, 0.8, 2
-        den = Polynomial.from_factors(quadratic=[(a, b, k)])
-        ref = longdiv_series(RationalFunction(Polynomial([1]), den), 30).values
-        for n in range(31):
-            assert quad_seq0(a, b, k, n) == pytest.approx(ref[n], abs=1e-10)
-
-
 def _pair_table(z_amp, const_amp, a, b, k, n_max):
     """eval_sequence of the one term QuadPole(z_amp, const_amp, a, b, k)."""
     return eval_sequence(ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None), n_max).values
 
 
+def _real_pole_table(amp, pole, k, n_max):
+    """eval_sequence of the one term RealPole(amp, pole, k)."""
+    return eval_sequence(ClosedFormExpr((RealPole(amp, pole, k),), None), n_max).values
+
+
+def _real_pole_per_n(amp, pole, k, n):
+    """amp * C(n-1,k-1) * pole**(n-k) value by value, zero for n < k; inf
+    where the power is too large for a float."""
+    if n < k:
+        return 0.0
+    try:
+        return amp * math.comb(n - 1, k - 1) * pole ** (n - k)
+    except OverflowError:
+        return math.inf
+
+
+class TestQuadSeq0:
+    """s0, the constant-numerator sequence, as eval_sequence tabulates it."""
+
+    def test_unit_pair_alternates(self):
+        # pure rotation pair: 0,0 then 1,0,-1,0,1,... (cosine pattern, lag 2)
+        vals = _pair_table(0.0, 1.0, 0, 1, 1, 8)
+        assert vals == (0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0)
+
+    def test_multiplicity_two_frozen(self):
+        # frozen from the long-division oracle on 1/(z^2+1)^2:
+        # series z^-4 - 2 z^-6 + 3 z^-8 - ...
+        vals = _pair_table(0.0, 1.0, 0, 1, 2, 8)
+        assert (vals[4], vals[6], vals[8]) == (1.0, -2.0, 3.0)
+
+    def test_matches_longdiv_oracle(self):
+        den = Polynomial.from_factors(quadratic=[(0, 1, 2)])
+        ref = longdiv_series(RationalFunction(Polynomial([1]), den), 20).values
+        assert _pair_table(0.0, 1.0, 0, 1, 2, 20) == pytest.approx(ref, abs=1e-12)
+
+    def test_zero_prefix(self):
+        for k in range(1, 5):
+            assert _pair_table(0.0, 1.0, 1.0, 2.0, k, 2 * k - 1) == (0.0,) * (2 * k)
+            assert _pair_table(0.0, 1.0, 0.3, 0.7, k, 2 * k - 1)[2 * k - 1] == 0.0
+
+    def test_rejects_non_pair(self):
+        with pytest.raises(ValueError, match="not a complex pair"):
+            _pair_table(0.0, 1.0, 1.0, 0.0, 1, 5)
+        with pytest.raises(ValueError, match="not a complex pair"):
+            _pair_table(0.0, 1.0, 1.0, -1.0, 1, 5)
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            _pair_table(0.0, 1.0, 1.0, 1.0, 0, 5)
+
+    def test_float_pair_against_longdiv(self):
+        a, b, k = 0.4, 0.8, 2
+        den = Polynomial.from_factors(quadratic=[(a, b, k)])
+        ref = longdiv_series(RationalFunction(Polynomial([1]), den), 30).values
+        assert _pair_table(0.0, 1.0, a, b, k, 30) == pytest.approx(ref, abs=1e-10)
+
+
 class TestQuadSeq1:
     """s1, the z-numerator sequence, is s0 shifted one step left, as
-    eval_sequence tabulates it: on integer data the same values as
-    quad_seq0, on float data the table's own s0 column (its running powers
-    round differently from quad_seq0's binary exponentiation)."""
+    eval_sequence tabulates both."""
 
     def test_shift_of_seq0(self):
-        assert _pair_table(1.0, 0.0, 0, 1, 1, 1)[1] == quad_seq0(0, 1, 1, 2) == 1.0
+        assert _pair_table(1.0, 0.0, 0, 1, 1, 1)[1] == _pair_table(0.0, 1.0, 0, 1, 1, 2)[2] == 1.0
 
     def test_multiplicity_two_frozen(self):
         # long-division oracle on z/(z^2+1)^2 puts the first 1 at n = 3
@@ -110,39 +120,45 @@ class TestQuadSeq1:
 
 class TestRealPoleSeq:
     def test_simple_pole(self):
-        assert real_pole_seq(1.0, 3.0, 1, 0) == 0.0
-        assert real_pole_seq(1.0, 3.0, 1, 4) == 27.0
+        vals = _real_pole_table(1.0, 3.0, 1, 4)
+        assert (vals[0], vals[4]) == (0.0, 27.0)
 
     def test_triple_pole_frozen(self):
         # long-division oracle on 1/(z-2)^3 gives C(4,2)*2^2 = 24 at n = 5
-        assert real_pole_seq(1.0, 2.0, 3, 5) == 24.0
+        got = _real_pole_table(1.0, 2.0, 3, 12)
+        assert got[5] == 24.0
         den = Polynomial.from_factors(linear=[(2, 3)])
         ref = longdiv_series(RationalFunction(Polynomial([1]), den), 12).values
-        got = [real_pole_seq(1.0, 2.0, 3, n) for n in range(13)]
         assert got == pytest.approx(ref, abs=1e-9)
 
     def test_zero_before_support(self):
         for k in range(1, 6):
-            assert real_pole_seq(2.5, -1.3, k, k - 1) == 0.0
+            assert _real_pole_table(2.5, -1.3, k, k - 1) == (0.0,) * k
 
     def test_origin_pole_rejected(self):
         with pytest.raises(ValueError, match="origin pole must be an impulse"):
-            real_pole_seq(1.0, 0.0, 1, 3)
+            _real_pole_table(1.0, 0.0, 1, 3)
         with pytest.raises(ValueError, match="multiplicity must be >= 1"):
-            real_pole_seq(1.0, 0.5, 0, 3)
+            _real_pole_table(1.0, 0.5, 0, 3)
 
     @pytest.mark.parametrize(
-        "amp, pole, k, n",
+        "amp, pole, k, n_max",
         [
-            (1.0, 1.9, 3, 1089),  # finite power, product rounds to inf
-            (1.0, -2.0, 1, 1100),  # the power itself overflows
-            (1e300, 1.5, 2, 1000),  # large amplitude
+            (1.0, 1.9, 3, 1089),  # finite power, product rounds to inf at n = 1089
+            (1.0, -2.0, 1, 1100),  # the power itself overflows, first at n = 1025
+            (1e300, 1.5, 2, 1000),  # large amplitude, first at n = 40
         ],
     )
-    def test_overflow_raises(self, amp, pole, k, n):
-        msg = f"real-pole sequence overflows a float at n={n}"
+    def test_overflow_raises(self, amp, pole, k, n_max):
+        # the message names the first n of the per-n formula that is not finite
+        vals = [_real_pole_per_n(amp, pole, k, n) for n in range(n_max + 1)]
+        first = next(n for n, v in enumerate(vals) if not math.isfinite(v))
+        assert _bits(_real_pole_table(amp, pole, k, first - 1)) == _bits(vals[:first])
+        msg = f"^real-pole sequence overflows a float at n={first}$"
         with pytest.raises(OverflowError, match=msg):
-            real_pole_seq(amp, pole, k, n)
+            _real_pole_table(amp, pole, k, n_max)
+        with pytest.raises(OverflowError, match=msg):
+            _real_pole_table(amp, pole, k, first)
 
 
 class TestInvert:
@@ -273,25 +289,6 @@ def _in_term_order(values):
     return functools.reduce(operator.add, values, 0)
 
 
-def _per_n(expr, n_max):
-    """Reference for eval_sequence: each x[n] from the random-access API,
-    term values added in term order."""
-
-    def value(t, n):
-        if isinstance(t, Impulse):
-            return t.amp if n == t.index else 0.0
-        if isinstance(t, RealPole):
-            return real_pole_seq(t.amp, t.pole, t.mult, n)
-        val = 0.0
-        if t.z_amp:
-            val += t.z_amp * quad_seq0(t.a, t.b, t.mult, n + 1)
-        if t.const_amp:
-            val += t.const_amp * quad_seq0(t.a, t.b, t.mult, n)
-        return val
-
-    return tuple(_in_term_order(value(t, n) for t in expr.terms) for n in range(n_max + 1))
-
-
 def _bits(values):
     """Each value's repr: equal lists are equal bit for bit, down to the sign
     of a zero, which == does not see and JSON prints."""
@@ -368,13 +365,14 @@ class TestTablePath:
         for reals in ((), ((1, 2),), ((-1, 1), (2, 2)), ((2, 1),)):
             expr = _expansion(rng, [(a, b, k)], reals)
             n_max = rng.randint(2 * k, 300)
-            assert _bits(eval_sequence(expr, n_max).values) == _bits(_per_n(expr, n_max))
+            assert _bits(eval_sequence(expr, n_max).values) == _bits(_table_per_n(expr, n_max))
 
     def test_inverted_integer_fixture_bit_identical(self):
         e = invert_expression("(3z^3-2z+7)/((z^2+1)^3 (z-1)^2 (z+1) (z^2+2z+2)^2)")
-        assert _bits(eval_sequence(e, 300).values) == _bits(_per_n(e, 300))
+        assert _bits(eval_sequence(e, 300).values) == _bits(_table_per_n(e, 300))
 
     def test_float_poles_within_tolerance(self):
+        # the table's running product against binary-exponentiation powers;
         # tolerance set before the running-power table was written
         rng = random.Random(2000)
         for _ in range(3):
@@ -385,7 +383,7 @@ class TestTablePath:
             reals = [(rng.choice((-1, 1)) * rng.uniform(0.9, 1.05), rng.randint(1, 2))]
             expr = _expansion(rng, pairs, reals)
             got = eval_sequence(expr, 2000).values
-            ref = _per_n(expr, 2000)
+            ref = _table_per_n(expr, 2000, identities._gauss_pow)
             tol = 1e-10 * max(1.0, max(abs(v) for v in ref))
             assert max(abs(g - r) for g, r in zip(got, ref)) <= tol
 
@@ -395,7 +393,7 @@ class TestTablePath:
         for n_max in range(10):
             got = eval_sequence(expr, n_max).values
             assert len(got) == n_max + 1
-            assert _bits(got) == _bits(_per_n(expr, n_max))
+            assert _bits(got) == _bits(_table_per_n(expr, n_max))
 
     @pytest.mark.parametrize("text", ["1/(z^2-4z+8)", "1/(z^2-4.5z+8.5)"])
     def test_overflow_raises_on_int_and_float_pairs(self, text):
@@ -403,14 +401,15 @@ class TestTablePath:
         (t,) = e.terms
         with pytest.raises(OverflowError, match="overflows a float"):
             eval_sequence(e, 2200)
-        with pytest.raises(OverflowError, match="overflows a float"):
-            quad_seq0(t.a, t.b, t.mult, 2200)
+        # the z-numerator piece alone overflows too, on the same pair
+        with pytest.raises(OverflowError, match="^quadratic-pole sequence overflows a float"):
+            _pair_table(1.0, 0.0, t.a, t.b, t.mult, 2200)
 
     def test_sum_of_finite_terms_overflow_raises(self):
         # both real-pole terms are finite at n = 1106; only their sum is not
         e = invert_expression("(2z-3.8000001)/((z-1.9)*(z-1.9000001))")
         assert [type(t) for t in e.terms] == [RealPole, RealPole]
-        assert all(math.isfinite(real_pole_seq(t.amp, t.pole, t.mult, 1106)) for t in e.terms)
+        assert all(math.isfinite(_real_pole_table(t.amp, t.pole, t.mult, 1106)[-1]) for t in e.terms)
         assert all(map(math.isfinite, eval_sequence(e, 1105).values))
         with pytest.raises(OverflowError, match="^closed-form sum overflows a float at n=1106$"):
             eval_sequence(e, 1106)
@@ -431,12 +430,13 @@ def _s0_per_n(a, b, k, n, im_pow):
     return 2 * (-1) ** (k - 1) * total / den
 
 
-def _table_per_n(expr, n_max):
+def _table_per_n(expr, n_max, gauss_pow=None):
     """Reference for eval_sequence's values: for each pole pair one running
-    product walked n by n, keeping the last 2K-1 imaginary parts, and s0[n]
+    product walked n by n, keeping the last 2K-1 imaginary parts (or, given
+    gauss_pow, Im(gauss_pow(a, b, m)) for each power on its own), and s0[n]
     from _s0_per_n (inf past an int too large for a float or below a
-    subnormal divisor); real poles from real_pole_seq; term values added in
-    term order."""
+    subnormal divisor); real poles from _real_pole_per_n; term values added
+    in term order."""
     mults = {}
     for t in expr.terms:
         if isinstance(t, QuadPole):
@@ -451,7 +451,10 @@ def _table_per_n(expr, n_max):
         for n in range(n_max + 2):
             for k, col in cols.items():
                 try:
-                    col.append(_s0_per_n(a, b, k, n, lambda m: window[m - n]))
+                    if gauss_pow is None:
+                        col.append(_s0_per_n(a, b, k, n, lambda m: window[m - n]))
+                    else:
+                        col.append(_s0_per_n(a, b, k, n, lambda m: gauss_pow(a, b, m)[1]))
                 except OverflowError:
                     col.append(math.inf)
             window.append(im)
@@ -461,7 +464,7 @@ def _table_per_n(expr, n_max):
         if isinstance(t, Impulse):
             return t.amp if n == t.index else 0.0
         if isinstance(t, RealPole):
-            return real_pole_seq(t.amp, t.pole, t.mult, n)
+            return _real_pole_per_n(t.amp, t.pole, t.mult, n)
         v = 0.0
         base = s0[t.a, t.b][t.mult]
         if t.z_amp:
@@ -535,13 +538,6 @@ class TestSignOfZero:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("a, b", [(0.0, 0.75), (-0.0, 0.5)])
-    def test_quad_seq0(self, a, b, k):
-        for n in [*range(40), *range(1018, 1030)]:
-            ref = _s0_per_n(a, b, k, n, lambda m: closedform._gauss_pow(a, b, m)[1])
-            assert repr(quad_seq0(a, b, k, n)) == repr(ref)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("a, b", [(0.0, 0.75), (-0.0, 0.5)])
     def test_eval_sequence_past_a_chunk(self, a, b, k):
         for z_amp, const_amp in ((0.0, 1.0), (1.5, 0.0), (-0.5, 2.0)):
             expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None)
@@ -559,14 +555,10 @@ class TestIntegerRealPoles:
         amp, n_max = -1.3, 2100  # past two chunk boundaries
         ref = []
         for n in range(n_max + 1):
-            try:
-                v = amp * math.comb(n - 1, k - 1) * pole ** (n - k) if n >= k else 0.0
-            except OverflowError:
-                break
+            v = _real_pole_per_n(amp, pole, k, n)
             if not math.isfinite(v):
                 break
             ref.append(v)
-        assert _bits(real_pole_seq(amp, pole, k, n) for n in range(len(ref))) == _bits(ref)
         expr = ClosedFormExpr((RealPole(amp, pole, k),), None)
         for m in {len(ref) - 1, len(ref) // 2, closedform.CHUNK - 1, closedform.CHUNK}:
             if m < len(ref):
@@ -576,7 +568,7 @@ class TestIntegerRealPoles:
             with pytest.raises(OverflowError, match=msg):
                 eval_sequence(expr, n_max)
             with pytest.raises(OverflowError, match=msg):
-                real_pole_seq(amp, pole, k, len(ref))
+                eval_sequence(expr, len(ref))
 
 
 class TestFirstFailingN:
@@ -631,6 +623,12 @@ class TestFirstFailingN:
         with pytest.raises(OverflowError, match="at n=2032$"):
             eval_sequence(e, 100000)
         assert max(starts) // closedform.CHUNK == 2032 // closedform.CHUNK
+
+    def test_weight_pass_overflow_is_named(self):
+        # |a+ib| = 1e100: s2 = 1e200, and s2**2 in the j = 2 weight pass leaves
+        # the float range before any division
+        with pytest.raises(OverflowError, match="^quadratic-pole sequence overflows a float at n=6$"):
+            _pair_table(0.0, 1.0, 0.5, 1e100, 3, 10)
 
 
 class TestEvalInvariants:

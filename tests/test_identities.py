@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from zinv.closedform import quad_seq0
+from zinv.closedform import ClosedFormExpr, QuadPole, eval_sequence
 from zinv.identities import (
     binomial_general,
     falling_factorial,
@@ -91,6 +91,11 @@ class TestSurjectionCount:
             assert surjection_count(sigma, sigma) == math.factorial(sigma)
 
 
+def _closed_form_s0(a, b, k, n_max):
+    """s0[0..n_max] of the pair a +/- ib, as eval_sequence tabulates it."""
+    return eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),), None), n_max).values
+
+
 class TestPairConvolution:
     def test_single_summand(self):
         series = pair_convolution_series(0, 1, 1, 2)
@@ -110,15 +115,15 @@ class TestPairConvolution:
         for a, b in ((0, 1), (1, 1), (1, 2), (0.5, 0.8)):
             for k in range(1, 5):
                 series = pair_convolution_series(a, b, k, 40)
+                s0 = _closed_form_s0(a, b, k, 40)
                 for n in range(41):
-                    assert abs(series.values[n] - quad_seq0(a, b, k, n)) <= 1e-9
+                    assert abs(series.values[n] - s0[n]) <= 1e-9
 
     def test_integer_pairs_bit_exact(self):
         for a, b in ((0, 1), (1, 1), (1, 2)):
             for k in range(1, 5):
                 series = pair_convolution_series(a, b, k, 40)
-                for n in range(41):
-                    assert series.values[n] == quad_seq0(a, b, k, n)
+                assert series.values == _closed_form_s0(a, b, k, 40)
 
     def test_rejects_non_pair(self):
         with pytest.raises(ValueError, match="not a complex pair"):

@@ -50,6 +50,20 @@ def test_identities_import_only_the_table_type():
             assert names <= IDENTITY_IMPORTS[node.module], (node.module, names)
 
 
+def test_float_range_rule_only_in_term_col_and_sum():
+    # the formula bodies are plain arithmetic: only a term's column and the
+    # sum check the float range and name what overflowed
+    tree = ast.parse((ROOT / "src/zinv/closedform.py").read_text())
+    owners = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            calls_finite = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_finite"
+            message = isinstance(node, ast.Constant) and "overflows a float" in str(node.value)
+            if calls_finite or message:
+                owners.add(getattr(top, "name", None))
+    assert owners == {"_term_col", "_sum"}
+
+
 def test_traced_layer_functions_exist():
     # bench/spans.py wraps these by name; a rename must fail here, not only
     # in a traced bench run
