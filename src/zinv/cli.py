@@ -235,7 +235,7 @@ def _convolution_devs():
     for a, b in CONV_GRID_AB:
         for k in range(1, 5):
             series = pair_convolution_series(a, b, k, 40).values
-            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),), None), 40)
+            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),)), 40)
             for n in range(41):
                 yield [a, b, k, n, abs(series[n] - s0[n])]
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .factorize import factor_denominator
-from .pfe import Impulse, QuadPole, RationalFunction, RealPole, _amps, real_pfe
+from .pfe import Impulse, QuadPole, RealPole, _amps, real_pfe
 
 CHUNK = 1024  # n values per column pass of eval_sequence
 
@@ -64,7 +64,6 @@ class ClosedFormExpr:
     """Sum of closed-form terms; the inverse transform as a formula in n."""
 
     terms: tuple
-    source: RationalFunction
     warnings: tuple = ()
 
 
@@ -267,7 +266,7 @@ def invert(x, factored=None):
             "non-causal polynomial part: delta[n+k] terms vanish for n >= 0"
         )
     terms += [t for t in pf.terms if any(_amps(t))]
-    return ClosedFormExpr(tuple(terms), x, tuple(warnings))
+    return ClosedFormExpr(tuple(terms), tuple(warnings))
 
 
 def invert_expression(text):

@@ -88,14 +88,15 @@ def find_roots(p):
     """All complex roots of p (with repetition), Newton-polished.
 
     Returns a list of (root, residual) with residual = |p(root)|, sorted by
-    real then imaginary part. Structural roots at the origin (exact zero
+    real then imaginary part; a nonzero constant has none, and the zero
+    polynomial raises ValueError. Structural roots at the origin (exact zero
     low-order coefficients) are returned exactly. Raises RootFindingError if
     polishing leaves a root z with residual above max(1e-6, 1e7 * noise),
     noise being the rounding of p(z) (_eval_noise): a root far from the
     origin may leave a large residual that is still only rounding.
     """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1 to find roots")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no roots")
     coeffs = list(p.coeffs)
     n_origin = 0
     while coeffs and coeffs[0] == 0:
@@ -161,12 +162,12 @@ def cluster_and_pair(p, roots):
 
     Roots of one multiple root merge with summed multiplicity (_cluster);
     near-real locations snap to the axis, near-zero ones to the origin; the
-    rest must pair with their conjugates (b > 0 kept).
+    rest must pair with their conjugates (b > 0 kept), or FactorizationError
+    names the unpaired root or the multiplicity mismatch. No roots give the
+    empty structure.
     """
     roots = [complex(z) for z in roots]
-    if not roots:
-        return FactoredDenominator(0, (), ())
-    scale = max(1.0, max(abs(z) for z in roots))
+    scale = max([1.0, *map(abs, roots)])
 
     origin = 0
     reals = []
@@ -308,25 +309,18 @@ def factor_denominator(d):
     Composes find_roots and cluster_and_pair, whose cluster widths are the
     scatter radii of d's own multiple roots, polishes repeated locations, and
     accepts that one candidate only when it both re-expands to d (relative
-    error <= 1e-8) and passes the multiple-root residual test. A nonzero
-    constant has the empty structure.
+    error <= 1e-8) and passes the multiple-root residual test; a failed
+    conjugate pairing raises cluster_and_pair's own error. A nonzero constant
+    has no roots, hence the empty structure.
     """
     if d.is_zero:
         raise ValueError("the zero polynomial has no factor structure")
     if not d.is_real():
         raise ValueError("real coefficients required")
-    if d.degree == 0:
-        return FactoredDenominator(0, (), ())
     if d.leading != 1:
         d = Polynomial(tuple(c / d.leading for c in d.coeffs))
-    roots = [z for z, _ in find_roots(d)]
-    try:
-        cand = cluster_and_pair(d, roots)
-    except FactorizationError:  # conjugate pairing failed: no candidate
-        err = math.inf
-    else:
-        cand = _polish(d, cand)
-        err = _expand_error(d, cand)
+    cand = _polish(d, cluster_and_pair(d, [z for z, _ in find_roots(d)]))
+    err = _expand_error(d, cand)
     if err > EXPAND_RTOL:
         raise FactorizationError(
             f"factor recovery failed: best relative expansion error {err:.3g}"

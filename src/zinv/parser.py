@@ -285,7 +285,8 @@ def _split_division(text, tokens):
 
 def parse_rational_expr(text):
     """Parse text into a rational function plus, when the denominator is
-    written in factored form, its exact factor structure."""
+    written in factored form, its exact factor structure: a constant
+    denominator has the empty one, and no denominator gives None."""
     tokens = tokenize(text)
     if len(tokens) == 1:
         raise _error(text, 0, "empty expression", expected=("NUMBER", "'z'", "'('"))
@@ -308,9 +309,7 @@ def parse_rational_expr(text):
     den, den_factors = _Parser(text, den_tokens).parse()
     if den.is_zero:
         raise _error(text, tokens[slash].pos, "denominator is identically zero")
-    factored = None
-    if den.degree >= 1:
-        factored = _extract_factored(den_factors, text)
+    factored = _extract_factored(den_factors, text)
     x = RationalFunction(num, den)
     # x.den is shorter than den when the numerator cancelled a factor: numeric factoring
     if factored is not None and not factored.degree == x.den.degree == den.degree:

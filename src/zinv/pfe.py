@@ -326,7 +326,8 @@ def principal_parts(num, poles):
     pair not holding z_k enters as its real quadratic z^2 - 2Re(z_i) z +
     |z_i|^2), A_{m-i} = g_i, the i-th Taylor coefficient of num/D_k at z_k:
     the power series division g_i = (p_i - sum_{l<i} g_l q_{i-l}) / q_0 of
-    num's and D_k's Taylor coefficients. Parts come in pole order, powers
+    num's and D_k's Taylor coefficients, the sum added in l order from an
+    int 0 on every Python version. Parts come in pole order, powers
     ascending; a real pole's part is real, a lower-half pole's the exact
     conjugate of its partner's.
     """
@@ -347,7 +348,10 @@ def principal_parts(num, poles):
         p, q = _taylor(num, z0, m), _taylor(dk, z0, m)
         g = []
         for i in range(m):
-            g.append((p[i] - sum(g[l] * q[i - l] for l in range(i))) / q[0])
+            acc = 0  # left to right: builtin sum() compensates floats from Python 3.12 on
+            for l in range(i):
+                acc += g[l] * q[i - l]
+            g.append((p[i] - acc) / q[0])
         parts[zk] = {j: g[m - j] for j in range(1, m + 1)}
     return {zk: parts[zk] for zk, _ in poles}
 

@@ -186,7 +186,7 @@ def test_criterion_6_convolution_equals_closed_form(capsys):
     for a, b in ((0, 1), (1, 1), (1, 2), (0.5, 0.8)):
         for k in range(1, 5):
             series = pair_convolution_series(a, b, k, 40)
-            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),), None), 40)
+            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),)), 40)
             for n in range(41):
                 direct = s0[n]
                 worst = max(worst, abs(series.values[n] - direct))
@@ -208,7 +208,7 @@ def test_criterion_7_shift_identity_bitwise(capsys):
     # constant-numerator sequence shifted one step left: the table's own s0
     # column, and on integer data the exact convolution route's values
     def table(z_amp, const_amp, a, b, k, n_max):
-        expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None)
+        expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),))
         return eval_sequence(expr, n_max).values
 
     rng = random.Random(20240701)

@@ -41,6 +41,33 @@ class TestInvert:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "expr, line",
+        [
+            ("(z+1))/z", "error: unbalanced ')' at line 1, column 6"),
+            ("/z", "error: missing numerator before '/' at line 1, column 1"),
+            ("1/(z-z)", "error: denominator is identically zero at line 1, column 2"),
+            (
+                "1/z^z",
+                "error: exponent must be an integer literal at line 1, column 5 (expected INTEGER)",
+            ),
+            (
+                "z^2^3",
+                "error: unexpected token '^' at line 1, column 4"
+                " (expected operator or end of input)",
+            ),
+        ],
+    )
+    def test_parse_error_line(self, expr, line, capsys):
+        assert main(["invert", expr]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
+    def test_warning_line(self, capsys):
+        assert main(["invert", "(z^3+1)/(z-0.5)"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0.25*δ[n] + 0.5*δ[n+1] + δ[n+2] + 1.125*0.5^(n-1)*u[n-1]\n"
+        assert captured.err == "warning: non-causal polynomial part: delta[n+k] terms vanish for n >= 0\n"
+
+    @pytest.mark.parametrize(
         "expr",
         [
             "1/(1e100*z^2+1e100)^4",
@@ -285,6 +312,12 @@ class TestBatch:
 
     def test_missing_batch_file(self, capsys):
         assert main(["table", "--batch", "/nonexistent/file.txt"]) == 2
+
+    def test_comments_only_batch_file(self, tmp_path, capsys):
+        batch = tmp_path / "exprs.txt"
+        batch.write_text("# header\n\n   # indented comment\n")
+        assert main(["invert", "--batch", str(batch)]) == 2
+        assert capsys.readouterr() == ("", f"error: batch file '{batch}' contains no expressions\n")
 
 
 class TestJsonWriter:

@@ -33,12 +33,12 @@ from zinv.polynomial import Polynomial
 
 def _pair_table(z_amp, const_amp, a, b, k, n_max):
     """eval_sequence of the one term QuadPole(z_amp, const_amp, a, b, k)."""
-    return eval_sequence(ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None), n_max).values
+    return eval_sequence(ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),)), n_max).values
 
 
 def _real_pole_table(amp, pole, k, n_max):
     """eval_sequence of the one term RealPole(amp, pole, k)."""
-    return eval_sequence(ClosedFormExpr((RealPole(amp, pole, k),), None), n_max).values
+    return eval_sequence(ClosedFormExpr((RealPole(amp, pole, k),)), n_max).values
 
 
 def _real_pole_per_n(amp, pole, k, n):
@@ -165,11 +165,12 @@ class TestInvert:
     @pytest.mark.parametrize("c", [1e-13, 3.0, 1e-200])
     def test_amplitude_scale_survives(self, c):
         # no coefficient is too small to keep: c/(z-0.5) is c * 0.5**(n-1)
-        e = invert_expression(f"{c!r}/(z-0.5)")
+        x, f = parse_rational_expr(f"{c!r}/(z-0.5)")
+        e = invert(x, factored=f)
         assert e.terms == (RealPole(c, 0.5, 1),)
         want = (0.0, *(c * 0.5 ** (n - 1) for n in range(1, 51)))
         assert eval_sequence(e, 50).values == want
-        assert longdiv_series(e.source, 50).values == want
+        assert longdiv_series(x, 50).values == want
 
     def test_unit_quadratic(self):
         x, f = parse_rational_expr("1/(z^2+1)")
@@ -203,6 +204,15 @@ class TestInvert:
         assert eval_sequence(e, 6).values == pytest.approx(
             (0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0), abs=1e-12
         )
+
+    def test_constant_denominator_is_not_factored(self, monkeypatch):
+        # the parser hands over the empty structure: no numeric factoring
+        calls = []
+        real = closedform.factor_denominator
+        monkeypatch.setattr(closedform, "factor_denominator", lambda d: calls.append(d) or real(d))
+        e = invert_expression("(z^2+1)/2")
+        assert calls == []
+        assert set(e.terms) == {Impulse(0.5, 0), Impulse(0.5, -2)}
 
     def test_polynomial_input(self):
         e = invert_expression("3 + 2*z")
@@ -308,7 +318,7 @@ def _expansion(rng, pairs, reals):
     for pole, k in reals:
         terms += [RealPole(rng.uniform(-2.0, 2.0), pole, j) for j in range(1, k + 1)]
     rng.shuffle(terms)
-    return ClosedFormExpr(tuple(terms), None)
+    return ClosedFormExpr(tuple(terms))
 
 
 def _exact_series(x, n_max):
@@ -497,7 +507,7 @@ class TestColumnTable:
         for k in (1, 2, 3, 4):
             for z_amp, const_amp in ((1.5, 0.0), (0.0, -0.7)):
                 terms = tuple(QuadPole(z_amp, const_amp, a, b, j) for j in range(1, k + 1))
-                expr = ClosedFormExpr(terms, None)
+                expr = ClosedFormExpr(terms)
                 for n_max in (0, 2 * k - 1, 2 * k, 333):
                     assert _bits(eval_sequence(expr, n_max).values) == _bits(
                         _table_per_n(expr, n_max)
@@ -519,7 +529,7 @@ class TestColumnTable:
         for k in (1, 2, 3):
             for z_amp, const_amp in ((1.5, 0.0), (0.0, -0.7), (-0.0, 2.5), (0.0, 0.0)):
                 terms = tuple(QuadPole(z_amp, const_amp, a, b, j) for j in range(1, k + 1))
-                expr = ClosedFormExpr(terms, None)
+                expr = ClosedFormExpr(terms)
                 got = eval_sequence(expr, 2100).values
                 assert _bits(got) == _bits(_table_per_n(expr, 2100))
 
@@ -540,7 +550,7 @@ class TestSignOfZero:
     @pytest.mark.parametrize("a, b", [(0.0, 0.75), (-0.0, 0.5)])
     def test_eval_sequence_past_a_chunk(self, a, b, k):
         for z_amp, const_amp in ((0.0, 1.0), (1.5, 0.0), (-0.5, 2.0)):
-            expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),), None)
+            expr = ClosedFormExpr((QuadPole(z_amp, const_amp, a, b, k),))
             assert _bits(eval_sequence(expr, 1100).values) == _bits(_table_per_n(expr, 1100))
 
 
@@ -559,7 +569,7 @@ class TestIntegerRealPoles:
             if not math.isfinite(v):
                 break
             ref.append(v)
-        expr = ClosedFormExpr((RealPole(amp, pole, k),), None)
+        expr = ClosedFormExpr((RealPole(amp, pole, k),))
         for m in {len(ref) - 1, len(ref) // 2, closedform.CHUNK - 1, closedform.CHUNK}:
             if m < len(ref):
                 assert _bits(eval_sequence(expr, m).values) == _bits(ref[: m + 1])
@@ -742,16 +752,16 @@ class TestRender:
         assert "sin(1.5708*(n-1))" in text
 
     def test_impulse(self):
-        assert render(ClosedFormExpr((Impulse(5.0, 2),), None)) == "5*δ[n-2]"
+        assert render(ClosedFormExpr((Impulse(5.0, 2),))) == "5*δ[n-2]"
 
     def test_simple_real_pole(self):
         assert (
-            render(ClosedFormExpr((RealPole(1.0, 3.0, 1),), None))
+            render(ClosedFormExpr((RealPole(1.0, 3.0, 1),)))
             == "3^(n-1)*u[n-1]"
         )
 
     def test_multiple_real_pole(self):
-        text = render(ClosedFormExpr((RealPole(2.0, -1.5, 3),), None))
+        text = render(ClosedFormExpr((RealPole(2.0, -1.5, 3),)))
         assert "C(n-1,2)" in text
         assert "(-1.5)^(n-3)" in text
         assert "u[n-3]" in text
@@ -760,16 +770,16 @@ class TestRender:
         text = render(invert_expression("1/(z^2+1)"), fmt="latex")
         assert r"\sin" in text and "u[n-2]" in text
         assert (
-            render(ClosedFormExpr((Impulse(5.0, 2),), None), fmt="latex")
+            render(ClosedFormExpr((Impulse(5.0, 2),)), fmt="latex")
             == r"5 \delta[n-2]"
         )
 
     def test_empty(self):
-        assert render(ClosedFormExpr((), None)) == "0"
+        assert render(ClosedFormExpr(())) == "0"
 
     def test_negative_amplitude_sign_folding(self):
         text = render(
-            ClosedFormExpr((Impulse(1.0, 0), RealPole(-0.5, 2.0, 1)), None)
+            ClosedFormExpr((Impulse(1.0, 0), RealPole(-0.5, 2.0, 1)))
         )
         assert text == "δ[n] - 0.5*2^(n-1)*u[n-1]"
 

@@ -42,9 +42,12 @@ class TestFindRoots:
         for z, res in find_roots(p):
             assert res <= 1e-9 * max(1.0, p.norm_inf)
 
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            find_roots(Polynomial([3]))
+    def test_constant_has_no_roots(self):
+        assert find_roots(Polynomial([3])) == []
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            find_roots(Polynomial([]))
 
     def test_far_root_residual_is_rounding(self):
         # |p(z)| at z = -5e11 is 3.3e-5, far above 1e-6 but within what
@@ -70,6 +73,9 @@ class TestClusterAndPair:
         f = cluster_and_pair(Polynomial([0, 1, 0, 1]), [0j, 1j, -1j])
         assert f.origin_mult == 1
         assert f.quadratics == (QuadraticFactor(0.0, 1.0, 1),)
+
+    def test_no_roots_give_the_empty_structure(self):
+        assert cluster_and_pair(Polynomial([3]), []) == FactoredDenominator(0, (), ())
 
     def test_unpaired_complex_root_raises(self):
         with pytest.raises(FactorizationError, match="conjugate pairing failed"):
@@ -282,6 +288,13 @@ class TestRecoveryMessage:
         head = "factor recovery failed: best relative expansion error "
         assert str(exc.value).startswith(head)
         assert float(str(exc.value)[len(head) :]) > factorize.EXPAND_RTOL
+
+    def test_pairing_failure_keeps_its_message(self, monkeypatch):
+        # roots that cannot pair: cluster_and_pair's error, not an expansion error
+        monkeypatch.setattr(factorize, "find_roots", lambda p: [(1 + 1j, 0.0), (2 - 1j, 0.0)])
+        with pytest.raises(FactorizationError) as exc:
+            factor_denominator(Polynomial([5, -2, 1]))
+        assert str(exc.value) == "conjugate pairing failed: unpaired root (1+1j)"
 
 
 class TestMultiplicitySweep:

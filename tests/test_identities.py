@@ -93,7 +93,7 @@ class TestSurjectionCount:
 
 def _closed_form_s0(a, b, k, n_max):
     """s0[0..n_max] of the pair a +/- ib, as eval_sequence tabulates it."""
-    return eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),), None), n_max).values
+    return eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),)), n_max).values
 
 
 class TestPairConvolution:

@@ -4,7 +4,7 @@ import pytest
 
 from zinv.corpus import random_rational
 from zinv.errors import ParseError
-from zinv.factorize import LinearFactor, QuadraticFactor
+from zinv.factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from zinv.oracles import compare_methods
 from zinv.parser import batch_expressions, parse_rational_expr, tokenize
 from zinv.polynomial import Polynomial
@@ -72,6 +72,10 @@ class TestFactoredExtraction:
     def test_linear_product(self):
         _, f = parse_rational_expr("1/((z-1)*(z-2)^2)")
         assert f.linears == (LinearFactor(1, 1), LinearFactor(2, 2))
+
+    @pytest.mark.parametrize("text", ["(z^2+1)/2", "z/(-0.5)", "1/(2*3)^2"])
+    def test_constant_denominator_has_the_empty_structure(self, text):
+        assert parse_rational_expr(text)[1] == FactoredDenominator(0, (), ())
 
     def test_constant_divided_out(self):
         x, f = parse_rational_expr("1/(2*z-4)")

@@ -1,8 +1,11 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
 
+from zinv import pfe
 from zinv.closedform import invert_expression
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
@@ -21,7 +24,9 @@ from zinv.pfe import (
     _P,
     _amps,
     _divided_by_z,
+    _taylor,
     complex_pfe_over_z,
+    principal_parts,
     real_pfe,
 )
 from zinv.polynomial import ONE, Z, Polynomial
@@ -271,6 +276,54 @@ class TestComplexPfeOverZ:
             assert all(
                 a.imag == 0.0 for z, part in table.items() if z.imag == 0 for a in part.values()
             )
+
+
+def _parts_in_term_order(num, poles):
+    """principal_parts written out, each sum of the power series division
+    added left to right from an int 0 (sum() up to Python 3.11)."""
+    parts = {}
+    for zk, m in poles:
+        if zk.imag < 0:
+            continue
+        dk = ONE
+        for z, mult in poles:
+            if z == zk or z.imag < 0 and z != zk.conjugate():
+                continue
+            if z.imag > 0:
+                dk *= Polynomial((z.real * z.real + z.imag * z.imag, -2 * z.real, 1)) ** mult
+            else:
+                dk *= Polynomial((-z if z.imag else -z.real, 1)) ** mult
+        z0 = zk if zk.imag else zk.real
+        p, q = _taylor(num, z0, m), _taylor(dk, z0, m)
+        g = []
+        for i in range(m):
+            terms = (g[l] * q[i - l] for l in range(i))
+            g.append((p[i] - functools.reduce(operator.add, terms, 0)) / q[0])
+        parts[zk] = {j: g[m - j] for j in range(1, m + 1)}
+    for zk, _ in poles:
+        if zk.imag < 0:
+            parts[zk] = {j: a.conjugate() for j, a in parts[zk.conjugate()].items()}
+    return {zk: parts[zk] for zk, _ in poles}
+
+
+def _compensated_sum(values, start=0):
+    """A sum() that rounds like none of the left-to-right ones (Python 3.12
+    compensates float sums), for floats and complex alike."""
+    values = [start, *values]
+    if not any(isinstance(v, complex) for v in values):
+        return math.fsum(values)
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
+class TestPrincipalParts:
+    def test_sums_in_term_order_on_every_python(self, monkeypatch):
+        # the tables must not hang on how the running Python's sum() rounds
+        monkeypatch.setattr(pfe, "sum", _compensated_sum, raising=False)
+        rng = random.Random(0)
+        for _ in range(100):
+            x, f = random_rational(rng, max_degree=12, max_mult=5)
+            num, poles = x.num % x.den, f.pole_list()
+            assert repr(principal_parts(num, poles)) == repr(_parts_in_term_order(num, poles))
 
 
 class TestRecombine:
