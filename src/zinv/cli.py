@@ -298,41 +298,27 @@ def _print_identities(args, doc):
     print("PASS" if doc["passed"] else "FAIL")
 
 
-def _json_text(docs):
-    """json.dumps(docs, indent=2) for a non-empty list of documents, byte for byte."""
-    return "[\n  " + ",\n  ".join(_json_doc(doc, "\n  ") for doc in docs) + "\n]"
-
-
-def _json_doc(doc, pad="\n"):
-    """json.dumps(doc, indent=2) for a document nested at pad (a newline and
-    its indent), byte for byte.
-
-    A non-empty flat list of scalars that is one of doc's values (a table's
-    values, a poly_part) is written by the C encoder, whose separators put
-    each item on its own line; json.dumps with an indent runs the Python
-    encoder, about three times slower per value. Everything else goes
-    through json.dumps(indent=2) as a whole.
-    """
-    inner = pad + "  "
-    if not any(map(_flat, doc.values())):
-        return json.dumps(doc, indent=2).replace("\n", pad)
-    items = []
-    for key, value in doc.items():
-        if _flat(value):
-            body = json.dumps(value, separators=("," + inner + "  ", ": "))
-            text = "[" + inner + "  " + body[1:-1] + inner + "]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", inner)
-        items.append(json.dumps(key) + ": " + text)
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
-
-
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _flat(value):
-    """A non-empty list (or tuple) of JSON scalars."""
-    return type(value) in (list, tuple) and len(value) > 0 and set(map(type, value)) <= _SCALARS
+def _json(value, pad="\n"):
+    """json.dumps(value) with a two-space indent, byte for byte, for a value
+    nested at pad (a newline and its indent). A scalar, an empty container or
+    a container of scalars is one json.dumps call, whose separators put each
+    item on its own line; any other container joins its items, each written
+    one level deeper. So json's C encoder writes every scalar (an indent would
+    run the Python encoder, about three times slower per value)."""
+    if not value or type(value) in _SCALARS:
+        return json.dumps(value)
+    inner = pad + "  "
+    is_dict = type(value) is dict
+    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join([f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()])
+    else:
+        body = ("," + inner).join([_json(v, inner) for v in value])
+    return ("{" if is_dict else "[") + inner + body + pad + ("}" if is_dict else "]")
 
 
 @functools.cache
@@ -421,7 +407,7 @@ def main(argv=None):
         docs, show = args.func(args)
         # JSON: the one document, or the list of them under --batch
         if args.format == "json":
-            print(_json_text(docs) if "batch" in args and args.batch else _json_doc(docs[0]))
+            print(_json(docs if "batch" in args and args.batch else docs[0]))
         else:
             for doc in docs:
                 show(args, doc)

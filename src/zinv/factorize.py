@@ -141,20 +141,21 @@ def _cluster(p, roots):
     every member lies within the scatter radius of an m-fold root at c;
     otherwise it starts a cluster. Exact zeros cluster only with each other.
     """
-    clusters = []  # member lists
+    clusters = []  # [sum of members, left to right from an int 0 like 3.11's sum(), members]
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        near = [cl for cl in clusters if (cl[0] == 0) == (z == 0)]
+        near = [cl for cl in clusters if (cl[1][0] == 0) == (z == 0)]
         if near:
-            cl = min(near, key=lambda members: abs(z - sum(members) / len(members)))
-            m = len(cl) + 1
-            c = (sum(cl) + z) / m
+            cl = min(near, key=lambda t: abs(z - t[0] / len(t[1])))
+            m = len(cl[1]) + 1
+            c = (cl[0] + z) / m
             if abs(p(c)) <= _eval_noise(p, c):
                 radius = _scatter_radius(p, c, m)
-                if all(abs(w - c) <= radius for w in (*cl, z)):
-                    cl.append(z)
+                if all(abs(w - c) <= radius for w in (*cl[1], z)):
+                    cl[0] += z
+                    cl[1].append(z)
                     continue
-        clusters.append([z])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+        clusters.append([0 + z, [z]])
+    return [(total / len(members), len(members)) for total, members in clusters]
 
 
 def cluster_and_pair(p, roots):

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -32,3 +33,18 @@ def factor_calls(monkeypatch):
 
     monkeypatch.setattr(factorize, "factor_denominator", counted)
     return calls
+
+
+@pytest.fixture
+def compensated_sum():
+    """A sum() that rounds like none of the left-to-right ones (Python 3.12
+    compensates float sums), for floats and complex alike; patch it over a
+    module's builtin sum() to show that no result hangs on sum()'s rounding."""
+
+    def fsum(values, start=0):
+        values = [start, *values]
+        if not any(isinstance(v, complex) for v in values):
+            return math.fsum(values)
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+    return fsum

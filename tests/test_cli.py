@@ -117,7 +117,7 @@ class TestTable:
         captured = capsys.readouterr()
         rows = [line.split() for line in captured.out.strip().splitlines()]
         assert rows[0][0] == "1"
-        assert "n=1" in captured.err
+        assert captured.err == "note: residue method starts at n=1 (n=0 is out of its domain)\n"
 
     def test_all_methods_csv(self, capsys):
         assert main(["table", "1/(z-2)", "--n", "3", "--method", "all", "--format", "csv"]) == 0
@@ -321,8 +321,8 @@ class TestBatch:
 
 
 class TestJsonWriter:
-    """main's JSON is json.dumps(doc, indent=2) byte for byte, also where a
-    flat value list is written by the C encoder."""
+    """main's JSON is json.dumps(doc, indent=2) byte for byte, although every
+    scalar is written by the C encoder."""
 
     @staticmethod
     def documents(argv):
@@ -333,7 +333,7 @@ class TestJsonWriter:
 
     @staticmethod
     def written(obj):
-        return cli._json_text(obj) if isinstance(obj, list) else cli._json_doc(obj)
+        return cli._json(obj)
 
     @pytest.mark.parametrize(
         "argv",
@@ -362,6 +362,24 @@ class TestJsonWriter:
         text = self.written(doc)
         assert '"deviation": NaN' in text
         assert text == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [], "b": {}},
+            [[]],
+            {"x": [1, [2, {}]]},
+            [{"rows": [[0, 1.5], [1, -2.0]], "n": 1}, {"rows": [[]]}],  # table --batch --method all
+            {"\u00e9t\u00e9": "z\u2192\u221e", "\uff10": ["\u03b4[n]"]},
+            [[[None, True, math.nan, -math.inf]], {"deep": {"d": [None, False]}}],
+            {"values": tuple(i / 7 for i in range(5001))},
+        ],
+        ids=["empty-values", "list-of-empty", "nested-empty", "batch-rows", "non-ascii",
+             "specials-deep", "long-tuple"],
+    )
+    def test_any_value(self, value):
+        # shapes no command writes today: the writer is json.dumps at every depth
+        assert self.written(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("cmd", ["invert", "table", "compare"])
     def test_batch(self, cmd, tmp_path, capsys):
@@ -422,11 +440,25 @@ class TestParserReuse:
 
 
 class TestUsage:
+    @staticmethod
+    def stderr_alone(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
     def test_missing_expression(self, capsys):
         assert main(["invert"]) == 2
+        assert self.stderr_alone(capsys) == "error: an expression (or --batch FILE) is required\n"
 
     def test_negative_n(self, capsys):
         assert main(["table", "z/(z-1)", "--n", "-3"]) == 2
+        assert self.stderr_alone(capsys) == "error: --n must be >= 0\n"
+
+    def test_unclosed_paren(self, capsys):
+        assert main(["invert", "1/((z+1)*(z-2)"]) == 2
+        assert self.stderr_alone(capsys) == (
+            "error: missing closing parenthesis at line 1, column 15 (expected ))\n"
+        )
 
     def test_bad_tol(self, capsys):
         assert main(["compare", "z/(z-1)", "--tol", "0"]) == 2

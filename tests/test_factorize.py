@@ -81,6 +81,17 @@ class TestClusterAndPair:
         with pytest.raises(FactorizationError, match="conjugate pairing failed"):
             cluster_and_pair(Polynomial([3 + 1j, -3, 1]), [1 + 1j, 2 - 1j])
 
+    def test_centroids_add_left_to_right_on_every_python(self, monkeypatch, compensated_sum):
+        # the structure must not hang on how the running Python's sum() rounds
+        dens = [
+            random_rational(rng, max_degree=12, max_mult=5)[0].den
+            for rng in map(random.Random, range(3))
+            for _ in range(300)
+        ]
+        plain = [repr(factor_denominator(d)) for d in dens]
+        monkeypatch.setattr(factorize, "sum", compensated_sum, raising=False)
+        assert [repr(factor_denominator(d)) for d in dens] == plain
+
     def test_never_negative_b(self):
         rng = random.Random(11)
         for _ in range(50):

@@ -222,7 +222,7 @@ class TestErrors:
             parse_rational_expr("z/")
 
     def test_unbalanced_parens(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^missing closing parenthesis at line 1, column 5 "):
             parse_rational_expr("(z+1")
 
     @pytest.mark.parametrize(

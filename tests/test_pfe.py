@@ -306,19 +306,10 @@ def _parts_in_term_order(num, poles):
     return {zk: parts[zk] for zk, _ in poles}
 
 
-def _compensated_sum(values, start=0):
-    """A sum() that rounds like none of the left-to-right ones (Python 3.12
-    compensates float sums), for floats and complex alike."""
-    values = [start, *values]
-    if not any(isinstance(v, complex) for v in values):
-        return math.fsum(values)
-    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-
-
 class TestPrincipalParts:
-    def test_sums_in_term_order_on_every_python(self, monkeypatch):
+    def test_sums_in_term_order_on_every_python(self, monkeypatch, compensated_sum):
         # the tables must not hang on how the running Python's sum() rounds
-        monkeypatch.setattr(pfe, "sum", _compensated_sum, raising=False)
+        monkeypatch.setattr(pfe, "sum", compensated_sum, raising=False)
         rng = random.Random(0)
         for _ in range(100):
             x, f = random_rational(rng, max_degree=12, max_mult=5)
