@@ -398,7 +398,10 @@ def _usage_error(args):
 
 
 def main(argv=None):
-    args = _build().parse_args(argv)
+    args, extra = _build().parse_known_args(argv)
+    if extra:  # argparse reads every argument that starts with '-' as an option
+        _build().error(f"unrecognized arguments: {' '.join(extra)} "
+                       "(an expression that starts with '-' goes after '--')")
     usage = _usage_error(args)
     if usage is not None:
         _fail(usage)

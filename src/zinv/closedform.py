@@ -26,15 +26,15 @@ n = 0..N once over all terms, CHUNK values of n at a time. Each pole pair
 keeps one running product (a+ib)^m, shared by all its multiplicities and by
 s1, with only the last 2K-1 powers carried from chunk to chunk so exact
 integer powers never fill an O(N^2)-bit table. One formula body, _s0,
-evaluates a chunk: each j-th summand is one list pass,
-t + w * Im * (-1)^j (a^2+b^2)^j, whose exact integer weight
-w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products without the
-C(.,0) = 1 factors, with each C(m,1) = m factor the range of m itself; the
-passes add to totals from an int 0 in j order and the last also divides, the
-operations of a value-by-value loop in order. A quadratic term's column is
-one fused pass, 0.0 + z_amp*s1 + const_amp*s0, without the piece of a zero
-amplitude, and each term's column is added to the chunk's running sum, in
-term order, as it is built.
+evaluates a chunk: each j-th summand is one list pass, t + w * Im * p with
+p = (-1)^j (a^2+b^2)^j left out at j = 0, where it is exactly 1; the exact
+integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products
+without the C(.,0) = 1 factors, each C(m,1) = m factor the range of m itself.
+The passes add to totals from an int 0 in j order and the last also divides,
+the values of a value-by-value loop bit for bit. The terms are added to the
+chunk's running sum in term order: a quadratic term in the pass that makes
+it, v + (0.0 + z_amp*s1 + const_amp*s0) without the piece of a zero
+amplitude, and a real-pole or impulse term as a column, as it is built.
 That is still this sum, not the denominator's recurrence: the recurrence is
 the long-division oracle, which must stay independent. The formula bodies
 are plain arithmetic; the float range has one rule, for int and float data
@@ -92,11 +92,11 @@ def _s0(a, b, k, ns, im, off):
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
     j-th summand is one pass over ns adding w * Im * p to totals that start
     from int 0 (a -0.0 first summand adds to 0.0), in j order; the last pass
-    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) leaves out
-    the factors that are 1 (k = 1 has none) and reads C(m,1) = m off its
-    range; p = (-1)^j (a^2+b^2)^j carries the sign, exactly. So int data gives
-    exact integer totals and one correctly rounded division, and float data
-    the float operations of a value-by-value loop in its order.
+    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) and the
+    exact sign carrier p = (-1)^j (a^2+b^2)^j leave out the factors that are 1
+    (w has none at k = 1; p is 1 at j = 0), and C(m,1) = m is read off its range.
+    So int data gives exact integer totals and one correctly rounded division,
+    and float data the values of a value-by-value loop, bit for bit.
     """
     lo = min(max(ns.start, 2 * k), ns.stop)
     zeros = [0.0] * (lo - ns.start)
@@ -111,7 +111,8 @@ def _s0(a, b, k, ns, im, off):
             break
         c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
         ws = map(operator.mul, ws, c2) if j else c2
-        totals = [t + w * x * p for t, w, x in zip(totals, ws, xs)]
+        totals = ([t + w * x * p for t, w, x in zip(totals, ws, xs)] if j
+                  else [t + w * x for t, w, x in zip(totals, ws, xs)])  # p = 1 at j = 0
     sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
     # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
     if den < sys.float_info.min:
@@ -159,9 +160,9 @@ def _real_pole_col(t, ns):
     return zeros + [amp * c * p for c, p in zip(cs, pows)]
 
 
-def _term_col(t, ns, powers):
-    """t's values for n in ns; OverflowError, named for t's kind and for
-    n = ns.start, if one s0 or real-pole value is not a finite float.
+def _term_col(t, ns, powers, vals):
+    """vals, the running sum over ns, plus t's values; OverflowError, named for
+    t's kind and n = ns.start, if one s0 or real-pole value is not a finite float.
 
     powers[t.a, t.b] = (a, b, im, off): the pair and its Gaussian powers from
     _pair_chunks for _s0, which reach one past ns for the z-numerator piece.
@@ -170,7 +171,7 @@ def _term_col(t, ns, powers):
         col = [0.0] * len(ns)
         if t.index in ns:
             col[t.index - ns.start] = t.amp
-        return col
+        return list(map(operator.add, vals, col))
     try:
         if isinstance(t, RealPole):
             kind = "real-pole"
@@ -189,14 +190,14 @@ def _term_col(t, ns, powers):
     if not ok:
         raise OverflowError(f"{kind} sequence overflows a float at n={ns.start}")
     if isinstance(t, RealPole):
-        return s
+        return list(map(operator.add, vals, s))
     za, ca = t.z_amp, t.const_amp
-    # the float operations of adding each nonzero piece to 0.0 in turn
+    # the term is each nonzero piece added to 0.0 in turn, then added to v
     if za and ca:
-        return [0.0 + za * s1 + ca * s0 for s1, s0 in zip(s[1:], s)]
+        return [v + (0.0 + za * s1 + ca * s0) for v, s1, s0 in zip(vals, s[1:], s)]
     if za:
-        return [0.0 + za * s1 for s1 in s[1:]]
-    return [0.0 + ca * s0 for s0 in s]
+        return [v + (0.0 + za * s1) for v, s1 in zip(vals, s[1:])]
+    return [v + (0.0 + ca * s0) for v, s0 in zip(vals, s)]
 
 
 def _finite(vals):
@@ -205,14 +206,14 @@ def _finite(vals):
 
 
 def _sum(terms, ns, powers):
-    """[x[n] for n in ns]: the term columns added from int 0 in term order, as built.
+    """[x[n] for n in ns]: each term added to a running sum from int 0, in term order.
 
     OverflowError, named for n = ns.start, if a term or the sum is not a
     finite float: exact for a one-element ns.
     """
     vals = [0] * len(ns)
     for t in terms:
-        vals = list(map(operator.add, vals, _term_col(t, ns, powers)))
+        vals = _term_col(t, ns, powers, vals)
     if not _finite(vals):
         raise OverflowError(f"closed-form sum overflows a float at n={ns.start}")
     return vals

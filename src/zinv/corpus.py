@@ -1,8 +1,8 @@
 """Seeded random rational functions for fuzz comparison and property tests.
 
 Denominators are built directly from well-separated factor structures (so the
-true factorization is known), with pole moduli confined to a band where every
-method is numerically comfortable.
+true factorization is known). Real pole moduli lie in a band; a conjugate
+pair's modulus can leave it (random_rational says what is drawn).
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ def random_rational(
 ):
     """One random proper rational function with a known factorization.
 
-    Returns (x, factored). Pole locations keep a mutual distance of at least
-    MIN_SEPARATION so clustering never confuses distinct poles.
+    Returns (x, factored), poles at least MIN_SEPARATION apart. A real pole's modulus
+    is U(min_modulus, max_modulus); a pair, r*(cos t1 + i*sin t2) with r so drawn and
+    t1, t2 two independent U(0.2, pi-0.2) angles, has modulus 0.2r to 1.4r.
     """
     while True:
         n_lin = rng.randint(0, 2)

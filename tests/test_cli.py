@@ -492,6 +492,21 @@ class TestUsage:
         assert main(["invert", "1/(z-0.5)^2"]) == 0
         assert capsys.readouterr().out == "C(n-1,1)*0.5^(n-2)*u[n-2]\n"
 
+    def test_leading_minus_goes_after_double_dash(self, capsys):
+        # argparse reads an argument that starts with '-' as an option
+        text = "-0.7195/((z+0.528)^2)"
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"zinv: error: unrecognized arguments: {text}"
+            " (an expression that starts with '-' goes after '--')\n"
+        )
+        assert main(["invert", "--", text]) == 0
+        assert capsys.readouterr().out == "-0.7195*C(n-1,1)*(-0.528)^(n-2)*u[n-2]\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

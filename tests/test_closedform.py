@@ -533,6 +533,15 @@ class TestColumnTable:
                 got = eval_sequence(expr, 2100).values
                 assert _bits(got) == _bits(_table_per_n(expr, 2100))
 
+    def test_float_data_past_two_chunks(self):
+        # float data, where adding the terms rounds: each term must go into
+        # the running sum in term order and with the float operations of the
+        # n-by-n table, across both CHUNK boundaries below n = 2100
+        rng = random.Random(17)
+        pairs = [(0.6, 0.8, 3), (-0.93, 0.41, 2), (0.3, 0.9, 1)]
+        expr = _expansion(rng, pairs, [(0.97, 2), (-1.01, 1)])  # and an impulse
+        assert _bits(eval_sequence(expr, 2100).values) == _bits(_table_per_n(expr, 2100))
+
     def test_several_pairs(self):
         rng = random.Random(9)
         pairs = [(0, 1, 3), (1, 1, 2), (0.6, 0.8, 4), (-0.2, 0.97, 2), (0.9, 0.45, 1)]
