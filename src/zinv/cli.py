@@ -344,7 +344,7 @@ def _build():
 
     p = sub.add_parser("invert", help="closed-form inverse transform")
     common(p)
-    p.set_defaults(func=cmd_invert)
+    p.set_defaults(func=cmd_invert, usage_error=p.error)
 
     p = sub.add_parser("table", help="tabulate x[n] with a chosen method")
     common(p, formats=("text", "json", "csv"))
@@ -354,7 +354,7 @@ def _build():
         choices=(*SERIES_METHODS, "residue", "all"),
         default="proposed",
     )
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, usage_error=p.error)
 
     p = sub.add_parser("compare", help="cross-validate all methods")
     common(p)
@@ -369,7 +369,7 @@ def _build():
     p.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help=f"fuzz seed (default {DEFAULT_SEED})"
     )
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, usage_error=p.error)
 
     p = sub.add_parser("identities", help="run the exact identity sweeps")
     common(p, expr=False)
@@ -399,9 +399,11 @@ def _usage_error(args):
 
 def main(argv=None):
     args, extra = _build().parse_known_args(argv)
-    if extra:  # argparse reads every argument that starts with '-' as an option
-        _build().error(f"unrecognized arguments: {' '.join(extra)} "
-                       "(an expression that starts with '-' goes after '--')")
+    if extra:  # argparse reads an expression that starts with '-' as an unknown option
+        message = f"unrecognized arguments: {' '.join(extra)}"
+        if getattr(args, "expression", "") is None and not extra[0].startswith("--"):
+            args.usage_error(f"{message} (an expression that starts with '-' goes after '--')")
+        _build().error(message)
     usage = _usage_error(args)
     if usage is not None:
         _fail(usage)

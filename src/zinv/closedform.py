@@ -26,12 +26,12 @@ n = 0..N once over all terms, CHUNK values of n at a time. Each pole pair
 keeps one running product (a+ib)^m, shared by all its multiplicities and by
 s1, with only the last 2K-1 powers carried from chunk to chunk so exact
 integer powers never fill an O(N^2)-bit table. One formula body, _s0,
-evaluates a chunk: each j-th summand is one list pass, t + w * Im * p with
-p = (-1)^j (a^2+b^2)^j left out at j = 0, where it is exactly 1; the exact
-integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products
-without the C(.,0) = 1 factors, each C(m,1) = m factor the range of m itself.
-The passes add to totals from an int 0 in j order and the last also divides,
-the values of a value-by-value loop bit for bit. The terms are added to the
+evaluates a chunk: each j-th summand is one list pass,
+t + w * Im * (-1)^j (a^2+b^2)^j, whose exact integer weight
+w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products without the
+C(.,0) = 1 factors, with each C(m,1) = m factor the range of m itself; the
+passes add to totals from an int 0 in j order and the last also divides, the
+operations of a value-by-value loop in order. The terms are added to the
 chunk's running sum in term order: a quadratic term in the pass that makes
 it, v + (0.0 + z_amp*s1 + const_amp*s0) without the piece of a zero
 amplitude, and a real-pole or impulse term as a column, as it is built.
@@ -92,11 +92,11 @@ def _s0(a, b, k, ns, im, off):
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
     j-th summand is one pass over ns adding w * Im * p to totals that start
     from int 0 (a -0.0 first summand adds to 0.0), in j order; the last pass
-    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) and the
-    exact sign carrier p = (-1)^j (a^2+b^2)^j leave out the factors that are 1
-    (w has none at k = 1; p is 1 at j = 0), and C(m,1) = m is read off its range.
-    So int data gives exact integer totals and one correctly rounded division,
-    and float data the values of a value-by-value loop, bit for bit.
+    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) leaves out
+    the factors that are 1 (k = 1 has none) and reads C(m,1) = m off its
+    range; p = (-1)^j (a^2+b^2)^j carries the sign, exactly. So int data gives
+    exact integer totals and one correctly rounded division, and float data
+    the float operations of a value-by-value loop in its order.
     """
     lo = min(max(ns.start, 2 * k), ns.stop)
     zeros = [0.0] * (lo - ns.start)
@@ -111,8 +111,7 @@ def _s0(a, b, k, ns, im, off):
             break
         c2 = _comb_col(range(lo - k - 1 - j, ns.stop - k - 1 - j), k - 1 - j)
         ws = map(operator.mul, ws, c2) if j else c2
-        totals = ([t + w * x * p for t, w, x in zip(totals, ws, xs)] if j
-                  else [t + w * x for t, w, x in zip(totals, ws, xs)])  # p = 1 at j = 0
+        totals = [t + w * x * p for t, w, x in zip(totals, ws, xs)]
     sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
     # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
     if den < sys.float_info.min:

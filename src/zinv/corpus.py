@@ -1,8 +1,7 @@
 """Seeded random rational functions for fuzz comparison and property tests.
 
 Denominators are built directly from well-separated factor structures (so the
-true factorization is known). Real pole moduli lie in a band; a conjugate
-pair's modulus can leave it (random_rational says what is drawn).
+true factorization is known); random_rational says how the poles are drawn.
 """
 
 from __future__ import annotations

@@ -500,12 +500,31 @@ class TestUsage:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: zinv invert ")
         assert captured.err.endswith(
-            f"zinv: error: unrecognized arguments: {text}"
+            f"zinv invert: error: unrecognized arguments: {text}"
             " (an expression that starts with '-' goes after '--')\n"
         )
         assert main(["invert", "--", text]) == 0
         assert capsys.readouterr().out == "-0.7195*C(n-1,1)*(-0.528)^(n-2)*u[n-2]\n"
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["table", "1/z", "--formt", "json"], "--formt json"),
+            (["table", "--formt"], "--formt"),
+            (["table", "1/z", "-1/z"], "-1/z"),
+            (["invert", "1/z", "2/z"], "2/z"),
+        ],
+    )
+    def test_other_unrecognized_arguments_get_no_dash_hint(self, capsys, argv, extra):
+        # a mistyped option or a second expression is not a leading '-'
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"\nzinv: error: unrecognized arguments: {extra}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
