@@ -44,6 +44,7 @@ from .parser import batch_expressions, parse_rational_expr
 DEFAULT_N = 50
 DEFAULT_TOL = 1e-7
 DEFAULT_SEED = 12345
+CONV_TOL = 1e-9  # the identity sweep's bound on |convolution - closed form|
 CONV_GRID_AB = ((0, 1), (1, 1), (1, 2), (0.5, 0.8))
 TERM_KINDS = {Impulse: "impulse", RealPole: "real_pole", QuadPole: "quad_pole"}
 
@@ -260,8 +261,8 @@ def cmd_identities(args):
         "convolution_vs_closed_form": {
             "cases": len(conv),
             "max_dev": max([0.0, *(c[-1] for c in conv)]),
-            "tolerance": args.tol,
-            "failures": [c for c in conv if c[-1] > args.tol],
+            "tolerance": CONV_TOL,
+            "failures": [c for c in conv if c[-1] > CONV_TOL],
         },
         "binomial_consistency": {
             "failures": [c for c in binom if binomial_general(*c) != math.comb(*c)]
@@ -373,9 +374,6 @@ def _build():
 
     p = sub.add_parser("identities", help="run the exact identity sweeps")
     common(p, expr=False)
-    p.add_argument(
-        "--tol", type=float, default=1e-9, help="convolution sweep tolerance (default 1e-9)"
-    )
     p.set_defaults(func=cmd_identities)
 
     return top

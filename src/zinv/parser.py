@@ -10,11 +10,13 @@ Grammar (EBNF, whitespace insignificant, implicit multiplication allowed):
     atom      = NUMBER | "z" | "(" expr ")" ;
 
 Exponents must be non-negative integer literals, and division may appear only
-once, outside any parentheses. The parser evaluates as it parses: each rule
-yields its polynomial together with the multiplicands it folded into it. When
-the denominator is written as a product of powers of linear or irreducible
-quadratic polynomials, its exact factor structure is read off those
-multiplicands, so that inversion can bypass numeric root finding.
+once, outside any parentheses; without it the denominator is 1. One recursive
+descent reads the tokens in order, so an error names the first token that the
+grammar cannot take, and it evaluates as it parses: each rule yields its
+polynomial together with the multiplicands it folded into it. When the
+denominator is a product of powers of linear or irreducible quadratic
+polynomials, its exact factor structure is read off those multiplicands, so
+that inversion can bypass numeric root finding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import namedtuple
 from .errors import ParseError
 from .factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from .pfe import RationalFunction
-from .polynomial import Z, Polynomial
+from .polynomial import ONE, Z, Polynomial
 
 _TOKEN_RE = re.compile(
     r"""
@@ -45,14 +47,8 @@ _TOKEN_RE = re.compile(
 Token = namedtuple("Token", "kind value pos")
 
 
-def _line_col(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
-
-
 def _error(text, pos, message, expected=()):
-    line, col = _line_col(text, pos)
+    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
     return ParseError(message, line=line, column=col, expected=expected)
 
 
@@ -113,13 +109,25 @@ class _Parser:
         raise _error(self.text, self.peek().pos, message, expected)
 
     def parse(self):
-        result = self.expr()
-        if self.peek().kind != "end":
-            self.fail(
-                f"unexpected token {self.peek().value!r}",
-                expected=("operator", "end of input"),
-            )
-        return result
+        """rational = expr [ "/" expr ], then the end of input: the numerator,
+        the "/" token or None, and the denominator and its multiplicands."""
+        if self.peek().kind == "/":
+            self.fail("missing numerator before '/'")
+        num = self.expr()[0]
+        slash, den, den_factors = None, ONE, []
+        if self.peek().kind == "/":
+            slash = self.next()
+            if self.peek().kind == "end":
+                self.fail("missing denominator after '/'")
+            den, den_factors = self.expr()
+        tok = self.peek()
+        if tok.kind == "/":
+            self.fail("more than one top-level '/'")
+        if tok.kind == ")":
+            self.fail("unbalanced ')'")
+        if tok.kind != "end":
+            self.fail(f"unexpected token {tok.value!r}", expected=("operator", "end of input"))
+        return num, slash, den, den_factors
 
     def expr(self):
         pos = self.peek().pos
@@ -179,6 +187,10 @@ class _Parser:
         elif tok.kind == "(":
             self.next()
             value, factors = self.expr()
+            if self.peek().kind == "/":
+                self.fail(
+                    "division must appear once at the top level (write the expression as NUM/DEN)"
+                )
             if self.peek().kind != ")":
                 self.fail("missing closing parenthesis", expected=(")",))
             self.next()
@@ -259,56 +271,16 @@ def _extract_factored(factors, text):
 # -- top level ----------------------------------------------------------------
 
 
-def _split_division(text, tokens):
-    depth = 0
-    slash = None
-    for idx, tok in enumerate(tokens):
-        if tok.kind == "(":
-            depth += 1
-        elif tok.kind == ")":
-            depth -= 1
-            if depth < 0:
-                raise _error(text, tok.pos, "unbalanced ')'")
-        elif tok.kind == "/":
-            if depth > 0:
-                raise _error(
-                    text,
-                    tok.pos,
-                    "division must appear once at the top level "
-                    "(write the expression as NUM/DEN)",
-                )
-            if slash is not None:
-                raise _error(text, tok.pos, "more than one top-level '/'")
-            slash = idx
-    return slash
-
-
 def parse_rational_expr(text):
-    """Parse text into a rational function plus, when the denominator is
-    written in factored form, its exact factor structure: a constant
-    denominator has the empty one, and no denominator gives None."""
+    """Parse text into a rational function and its denominator's exact factor
+    structure: the empty one for a constant denominator (1 without "/"), and
+    None when the denominator is left to numeric factoring."""
     tokens = tokenize(text)
     if len(tokens) == 1:
         raise _error(text, 0, "empty expression", expected=("NUMBER", "'z'", "'('"))
-    slash = _split_division(text, tokens)
-    if slash is None:
-        num_tokens, den_tokens = tokens, None
-    else:
-        end = tokens[-1]
-        num_tokens = tokens[:slash] + [Token("end", None, tokens[slash].pos)]
-        den_tokens = tokens[slash + 1 :]
-        if num_tokens[0].kind == "end":
-            raise _error(text, tokens[slash].pos, "missing numerator before '/'")
-        if den_tokens[0].kind == "end":
-            raise _error(text, end.pos, "missing denominator after '/'")
-
-    num = _Parser(text, num_tokens).parse()[0]
-    if den_tokens is None:
-        return RationalFunction(num, Polynomial((1,))), None
-
-    den, den_factors = _Parser(text, den_tokens).parse()
+    num, slash, den, den_factors = _Parser(text, tokens).parse()
     if den.is_zero:
-        raise _error(text, tokens[slash].pos, "denominator is identically zero")
+        raise _error(text, slash.pos, "denominator is identically zero")
     factored = _extract_factored(den_factors, text)
     x = RationalFunction(num, den)
     # x.den is shorter than den when the numerator cancelled a factor: numeric factoring

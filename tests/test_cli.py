@@ -466,12 +466,7 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["identities", "--tol", "nan"], "--tol must be finite"),
-            (["identities", "--tol", "0"], "--tol must be > 0"),
-            (["identities", "--tol", "-1"], "--tol must be > 0"),
-            (["identities", "--tol", "inf"], "--tol must be finite"),
             (["compare", "z/(z-1)", "--tol", "-1"], "--tol must be > 0"),
-            (["identities", "--tol=-inf"], "--tol must be finite"),
             (["compare", "z/(z-1)", "--tol", "nan"], "--tol must be finite"),
             (["compare", "z/(z-1)", "--tol", "inf"], "--tol must be finite"),
             (["compare", "z/(z-1)", "--tol", "0"], "--tol must be > 0"),

@@ -214,6 +214,16 @@ class TestInvert:
         assert calls == []
         assert set(e.terms) == {Impulse(0.5, 0), Impulse(0.5, -2)}
 
+    def test_polynomial_input_is_not_factored(self, monkeypatch):
+        # without "/" the denominator is 1, with the empty structure; factor_calls
+        # counts only the oracles' calls, so the closed form's own name is patched
+        calls = []
+        real = closedform.factor_denominator
+        monkeypatch.setattr(closedform, "factor_denominator", lambda d: calls.append(d) or real(d))
+        e = invert_expression("3*z^2 - 1")
+        assert calls == []
+        assert set(e.terms) == {Impulse(-1.0, 0), Impulse(3.0, -2)}
+
     def test_polynomial_input(self):
         e = invert_expression("3 + 2*z")
         assert set(e.terms) == {Impulse(3.0, 0), Impulse(2.0, -1)}

@@ -132,6 +132,19 @@ class TestFactorDenominator:
     def test_constant_has_the_empty_structure(self, c):
         assert factor_denominator(Polynomial([c])) == FactoredDenominator(0, (), ())
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=FactorizationError,
+        reason="the pair -1±i clusters first and its centroid -1 is the real root, where "
+        "d'' is 5e-15, so the pair's scatter radius is 19 and it merges as a double real root",
+    )
+    def test_expanded_cubic_with_a_real_root_at_its_pair_centroid(self):
+        # (z+1)(z^2+2z+2): -1 is also the mean of all three roots
+        f = factor_denominator(Polynomial([2, 4, 3, 1]))
+        (lin,), (q,) = f.linears, f.quadratics
+        assert (lin.r, lin.u) == pytest.approx((-1, 1))
+        assert (q.a, q.b, q.k) == pytest.approx((-1, 1, 1))
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             factor_denominator(Polynomial([]))

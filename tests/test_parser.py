@@ -31,7 +31,7 @@ class TestBasicParsing:
     def test_no_denominator(self):
         x, f = parse_rational_expr("3*z^2 - 1")
         assert x.den == Polynomial([1])
-        assert f is None
+        assert f == FactoredDenominator(0, (), ())
 
     def test_implicit_multiplication(self):
         x, _ = parse_rational_expr("2z/(z-1)")
@@ -220,6 +220,18 @@ class TestErrors:
     def test_missing_denominator(self):
         with pytest.raises(ParseError, match="missing denominator"):
             parse_rational_expr("z/")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1+/z", "unexpected token '/' at line 1, column 3"),
+            (")", "unexpected token ')' at line 1, column 1"),
+        ],
+    )
+    def test_error_names_the_first_token_the_grammar_cannot_take(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_rational_expr(text)
+        assert str(e.value) == f"{message} (expected NUMBER or 'z' or '(' or '-')"
 
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError, match=r"^missing closing parenthesis at line 1, column 5 "):

@@ -9,11 +9,17 @@ dyadic rational). `invert` and `table` must exit 0 with JSON that parses, and
 unless `invert` warns, the table must match exact long division of that
 rational. The judge is a Fraction recurrence on the generated coefficients, so
 it never runs the parser.
+
+Texts that must fail are made from generated ones by one token edit: a token
+deleted, or one of / ( ) ^ * + inserted. `invert` must exit 0, 1 or 2 with no
+exception escaping, a nonzero exit must write one `error: ` line, and a parse
+error (exit 2) must name the column of the token the grammar cannot take.
 """
 
 import cmath
 import json
 import random
+import re
 from fractions import Fraction
 
 from zinv.cli import main
@@ -24,6 +30,8 @@ SEED = 9
 MAX_DEGREE = 12
 MIN_SEPARATION = 0.15  # between poles, conjugates included
 TOL = 1e-9  # of max(1, max|x[n]|)
+MALFORMED = 300
+EDIT_TOKENS = ("/", "(", ")", "^", "*", "+")
 
 
 def _mul(p, q):
@@ -64,7 +72,8 @@ class _Text:
         self.poles = []
         den, self.den = self._denominator()
         num, self.num = self._numerator(len(self.den) - 1)
-        self.text = self._spaced([*num, "/", *den])
+        self.tokens = [*num, "/", *den]
+        self.text = self._spaced(self.tokens)
 
     def _spaced(self, tokens):
         # whitespace is insignificant between tokens; a token is never split
@@ -273,6 +282,45 @@ def _judge(text, num, den, capsys):
     return (None if worst <= TOL else f"{text}: error {float(worst):.3g} of scale"), False
 
 
+def _edited(rng, t):
+    """t's text after one token edit: a token deleted, or one of EDIT_TOKENS inserted."""
+    tokens = list(t.tokens)
+    if rng.random() < 0.5:
+        del tokens[rng.randrange(len(tokens))]
+    else:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(EDIT_TOKENS))
+    return t._spaced(tokens)
+
+
+def _exit_fault(text, capsys):
+    """(exit code, fault) of `invert` on text; fault is None when it exits as
+    the README says: 0, 1 or 2, one `error: ` line on a nonzero exit, and on
+    exit 2 a column where the named token is written, or one past the end for
+    the end of input."""
+    try:
+        code = main(["invert", "--", text])
+    except (Exception, SystemExit) as exc:
+        capsys.readouterr()
+        return None, f"{text!r}: {exc!r} escaped"
+    lines = capsys.readouterr().err.splitlines()
+    if code == 0:
+        return code, None
+    if code not in (1, 2) or len(lines) != 1 or not lines[0].startswith("error: "):
+        return code, f"{text!r}: exit {code} with stderr {lines}"
+    if code == 1:
+        return code, None
+    at = re.search(r" at line 1, column (\d+)", lines[0])
+    if at is None:
+        return code, f"{text!r}: {lines[0]} names no line and column"
+    column = int(at[1])
+    token = re.match(r"error: unexpected token '(.*)' at line", lines[0])
+    if token and not text[column - 1 :].startswith(token[1]):
+        return code, f"{text!r}: {lines[0]} but column {column} reads {text[column - 1 :]!r}"
+    if "unexpected end of input" in lines[0] and column != len(text) + 1:
+        return code, f"{text!r}: {lines[0]} but the input ends at column {len(text) + 1}"
+    return code, None
+
+
 def _texts(seed, count):
     rng = random.Random(seed)
     return [_Text(rng) for _ in range(count)]
@@ -295,3 +343,14 @@ class TestTextFuzz:
         den = _mul([Fraction(-3), Fraction(1)], [Fraction(-1, 2), Fraction(1)])
         failure, warned = _judge("(z-2.9999999999999)/((z-3)*(z-0.5))", num, den, capsys)
         assert (failure, warned) == (None, False)
+
+    def test_one_token_edits_fail_cleanly(self, capsys):
+        rng = random.Random(SEED)
+        faults, codes = [], []
+        for t in _texts(SEED + 1, MALFORMED):
+            code, fault = _exit_fault(_edited(rng, t), capsys)
+            codes.append(code)
+            if fault is not None:
+                faults.append(fault)
+        assert faults == []
+        assert codes.count(2) > MALFORMED // 2  # most edits break the grammar
