@@ -51,7 +51,6 @@ from .oracles import (
 from .parser import batch_expressions, parse_rational_expr
 from .pfe import (
     RationalFunction,
-    RealPartialFraction,
     complex_pfe_over_z,
     real_pfe,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "QuadPole",
     "QuadraticFactor",
     "RationalFunction",
-    "RealPartialFraction",
     "RealPole",
     "RootFindingError",
     "SequenceTable",

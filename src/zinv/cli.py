@@ -21,10 +21,11 @@ import time
 
 from . import __version__
 from .closedform import (
-    ClosedFormExpr, Impulse, QuadPole, RealPole, eval_sequence, invert_expression, render
+    Impulse, QuadPole, RealPole, eval_sequence, invert, invert_expression, render
 )
 from .corpus import random_rational
 from .errors import ParseError
+from .factorize import FactoredDenominator, QuadraticFactor
 from .identities import (
     binomial_general,
     internal_summation_holds,
@@ -40,6 +41,8 @@ from .oracles import (
     within_bound,
 )
 from .parser import batch_expressions, parse_rational_expr
+from .pfe import RationalFunction
+from .polynomial import ONE
 
 DEFAULT_N = 50
 DEFAULT_TOL = 1e-7
@@ -232,11 +235,13 @@ def _print_fuzz(args, doc):
 
 
 def _convolution_devs():
-    """[a, b, k, n, |convolution - closed form|] over the sweep grid."""
+    """[a, b, k, n, |convolution - closed form|] over the sweep grid, the
+    closed form of 1/F**k for the pair's quadratic F: its one term is s0's."""
     for a, b in CONV_GRID_AB:
         for k in range(1, 5):
             series = pair_convolution_series(a, b, k, 40).values
-            s0 = eval_sequence(ClosedFormExpr((QuadPole(0.0, 1.0, a, b, k),)), 40)
+            f = FactoredDenominator(0, (), (QuadraticFactor(a, b, k),))
+            s0 = eval_sequence(invert(RationalFunction(ONE, f.expand()), f), 40)
             for n in range(41):
                 yield [a, b, k, n, abs(series[n] - s0[n])]
 

@@ -1,6 +1,8 @@
 """Build and evaluate closed-form inverse Z-transforms from real partial fractions.
 
-The three term kinds (built by pfe.real_pfe, defined there) and their sequences:
+pfe.real_pfe builds the closed form, a ClosedFormExpr (defined there, with the
+three term kinds); invert feeds it the denominator's factors. The term kinds
+and their sequences:
 
 * ``Impulse(amp, index)``        -> amp * delta[n - index]
 * ``RealPole(amp, pole, mult)``  -> amp * C(n-1, k-1) * pole**(n-k), n >= k
@@ -54,17 +56,9 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .factorize import factor_denominator
-from .pfe import Impulse, QuadPole, RealPole, _amps, real_pfe
+from .pfe import ClosedFormExpr, Impulse, QuadPole, RealPole, real_pfe  # the record re-exported
 
 CHUNK = 1024  # n values per column pass of eval_sequence
-
-
-@dataclass(frozen=True)
-class ClosedFormExpr:
-    """Sum of closed-form terms; the inverse transform as a formula in n."""
-
-    terms: tuple
-    warnings: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -248,25 +242,9 @@ def eval_sequence(expr, n_max):
 
 
 def invert(x, factored=None):
-    """Closed-form inverse transform of a rational function.
-
-    Factors the denominator (or uses a caller-supplied exact factorization)
-    and expands over the reals; real_pfe's terms are the closed-form terms.
-    Only exact zeros are dropped: each nonzero coefficient of the polynomial
-    part is an Impulse, and a term goes only when all its amplitudes are
-    exactly 0.0, however small they are beside the others. z^k monomials
-    with k >= 1 in the polynomial part are kept for rendering but never
-    fire on n >= 0, and attach a warning.
-    """
-    pf = real_pfe(x, factored if factored is not None else factor_denominator(x.den))
-    warnings = list(pf.warnings)
-    terms = [Impulse(float(c), -i) for i, c in enumerate(pf.poly_part.coeffs) if c]
-    if pf.poly_part.degree >= 1:
-        warnings.append(
-            "non-causal polynomial part: delta[n+k] terms vanish for n >= 0"
-        )
-    terms += [t for t in pf.terms if any(_amps(t))]
-    return ClosedFormExpr(tuple(terms), tuple(warnings))
+    """Closed-form inverse transform of a rational function: real_pfe along
+    the denominator's factors, caller-supplied exact ones or numeric ones."""
+    return real_pfe(x, factored if factored is not None else factor_denominator(x.den))
 
 
 def invert_expression(text):

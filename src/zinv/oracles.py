@@ -76,10 +76,12 @@ def moreira_series(x, n_max, poles=None):
     coeff * C(n, q-1) * p^(n-q+1); conjugate pairs combine into
     2|c| r^(n-q+1) C(n, q-1) cos((n-q+1)theta + phi) with phi = arg(c).
     The table is poles.pfe_over_z(), poles the request's OraclePoles
-    (OraclePoles(x) when None), summed pole by pole and power by power. A
-    term overflowing at n makes x[n] NaN.
+    (OraclePoles(x) when None), summed pole by pole and power by power, in
+    floats: it reads only the real parts at the origin and at real poles,
+    and each pair's cosine, so no imaginary part is ever formed. A term
+    overflowing at n makes x[n] NaN.
     """
-    vals = [0j] * (n_max + 1)
+    vals = [0.0] * (n_max + 1)
     for pole, part in (OraclePoles(x) if poles is None else poles).pfe_over_z().items():
         for j, coeff in part.items():
             try:
@@ -99,8 +101,7 @@ def moreira_series(x, n_max, poles=None):
                 # pole.imag < 0: consumed by its conjugate partner
             except OverflowError:  # only the n loops raise it: x[n] is not a finite float
                 vals[n] = math.nan
-    out = tuple(_discard_imag(_finite("moreira", n, v), "moreira") for n, v in enumerate(vals))
-    return SequenceTable(out)
+    return SequenceTable(tuple(_finite("moreira", n, v) for n, v in enumerate(vals)))
 
 
 def juric_series(x, n_max, poles=None):

@@ -6,8 +6,9 @@ rule) and F-adic digits at a quadratic power F**k. It is exact over the
 rationals of the factor floats (every float is a rational) and runs on ints,
 so structurally zero coefficients come out exactly zero. Each real partial
 fraction is read off as one closed-form term (Impulse, RealPole, QuadPole;
-closedform holds their sequence formulas); the condition estimate is a
-cancellation bound read off the terms alone.
+closedform holds their sequence formulas), and the expansion is the closed
+form itself, a ClosedFormExpr; its condition estimate is a cancellation bound
+read off the terms alone.
 The complex expansion of X(z)/z (the oracles' route) is a plain table
 {pole: {power: coefficient}}, each part read off the product of the given
 poles as a quotient of Taylor series; X's own parts come from the same function.
@@ -112,13 +113,14 @@ class QuadPole:
 
 
 @dataclass(frozen=True)
-class RealPartialFraction:
-    """poly_part + the sum of terms, each an Impulse, RealPole or QuadPole."""
+class ClosedFormExpr:
+    """Sum of closed-form terms, each an Impulse, RealPole or QuadPole: the
+    inverse transform as a formula in n, with real_pfe's warnings and
+    condition estimate (1.0, nothing to cancel, for terms given by hand)."""
 
-    poly_part: Polynomial
     terms: tuple
-    condition: float
-    warnings: tuple
+    warnings: tuple = ()
+    condition: float = 1.0
 
 
 def _amps(t):
@@ -239,7 +241,8 @@ def _local_digits(num, den, phi, k):
 
 
 def real_pfe(x, f):
-    """Expand x over the reals along the factor structure f of its denominator.
+    """x's closed form: its expansion over the reals along the factor
+    structure f of its denominator, as a ClosedFormExpr.
 
     The polynomial part and the remainder N come from division (a nonzero
     constant denominator has the empty f). The terms are read off factor by
@@ -250,10 +253,13 @@ def real_pfe(x, f):
     denominator of the factor values (a power of two for floats), makes every
     factor a monic integer polynomial, so all of this runs on ints and each
     amplitude is rounded once; that exact product of the factors must match
-    the denominator to a relative 1e-6. Terms come in factor order (origin,
-    f.linears, f.quadratics, each by power), zeros kept. The condition
-    estimate bounds the cancellation when the terms are summed back to the
-    remainder (see _condition), with a warning above 1e12.
+    the denominator to a relative 1e-6. The polynomial part's nonzero
+    coefficients come first, each c z**i as Impulse(c, -i); then the terms
+    in factor order (origin, f.linears, f.quadratics, each by power), where
+    only a term whose amplitudes are all exactly 0.0 is left out, however
+    small the others. The condition estimate bounds the cancellation when
+    all the terms are summed back to the remainder (see _condition), with a
+    warning above 1e12; a z**i with i >= 1 never fires on n >= 0, and warns.
     """
     poly_part, rem = divmod(x.num, x.den)
     q = x.den.degree
@@ -293,7 +299,10 @@ def real_pfe(x, f):
                 raise OverflowError("partial-fraction amplitude out of the float range") from None
             terms.append(kind(*amps, *fields, j))
     condition, warnings = _condition(terms, rem, f)
-    return RealPartialFraction(poly_part, tuple(terms), condition, warnings)
+    if poly_part.degree >= 1:
+        warnings += ("non-causal polynomial part: delta[n+k] terms vanish for n >= 0",)
+    poly = [Impulse(float(c), -i) for i, c in enumerate(poly_part.coeffs) if c]
+    return ClosedFormExpr(tuple(poly + [t for t in terms if any(_amps(t))]), warnings, condition)
 
 
 def _divided_by_z(x):

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 import operator
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from zinv import closedform, corpus, identities
 
+from zinv.cli import main
 from zinv.closedform import (
     ClosedFormExpr,
     Impulse,
@@ -231,19 +233,24 @@ class TestInvert:
 
 
 class TestTermsFromRealPfe:
-    """invert's terms are real_pfe's, after the polynomial part's impulses."""
+    """invert is real_pfe: the polynomial part's impulses, then each term with
+    a nonzero amplitude, in factor order."""
 
     def test_corpus_terms_pass_through(self):
-        rng = random.Random(2024)
-        for _ in range(100):
+        rng = random.Random(42)  # the corpus of compare --fuzz 300 --seed 42
+        order = (Impulse, RealPole, QuadPole)
+        for _ in range(300):
             x, f = random_rational(rng)
-            pf = real_pfe(x, f)
-            poly = tuple(
-                Impulse(float(c), -i) for i, c in enumerate(pf.poly_part.coeffs) if c
-            )
+            e = real_pfe(x, f)
+            assert invert(x, factored=f) == e
+            assert e.condition >= 1.0
+            poly = divmod(x.num, x.den)[0]
+            head = tuple(Impulse(float(c), -i) for i, c in enumerate(poly.coeffs) if c)
+            assert e.terms[: len(head)] == head
+            rest = e.terms[len(head):]
+            assert [type(t) for t in rest] == sorted(map(type, rest), key=order.index)
             # only the structurally zero terms drop
-            nonzero = tuple(t for t in pf.terms if any(_amps(t)))
-            assert invert(x, factored=f).terms == poly + nonzero
+            assert all(any(_amps(t)) for t in rest)
 
     @pytest.mark.parametrize(
         "text",
@@ -259,10 +266,8 @@ class TestTermsFromRealPfe:
     )
     def test_small_amplitude_kept(self, text):
         x, f = parse_rational_expr(text)
-        pf = real_pfe(x, f)
-        assert min(abs(a) for t in pf.terms for a in _amps(t)) < 1e-12
         e = invert(x, factored=f)
-        assert e.terms == tuple(t for t in pf.terms if any(_amps(t)))
+        assert min(abs(a) for t in e.terms for a in _amps(t)) < 1e-12
         got = eval_sequence(e, 60).values
         want = longdiv_series(x, 60).values
         scale = max(1.0, *map(abs, want))
@@ -352,6 +357,27 @@ def _exact_series(x, n_max):
         y -= sum(d[q - i] * ys[n - i] * m ** (i - 1) for i in range(1, min(n, q) + 1))
         ys.append(y)
     return [y / (f * m**n) for n, y in enumerate(ys)]
+
+
+class TestNearRealPair:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="s0's j-sum cancels its first 2k-2 orders in the pair's angle, so a "
+        "near-real pair loses about (2k-2)log10(1/theta) digits in floats; the "
+        "condition estimate (1.0 here) bounds only the amplitudes' cancellation "
+        "and nothing warns (ROADMAP item 1)",
+    )
+    def test_table_is_right_or_warns(self, capsys):
+        # x[6] = 1, and table prints -2.25e15 there with exit 0 and no warning
+        text = "1/(z^2-2*z+1.0000000000000002)^3"
+        assert main(["table", text, "--n", "9", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        want = _exact_series(parse_rational_expr(text)[0], 9)
+        scale = max(1.0, *map(abs, want))
+        close = all(abs(g - w) <= 1e-9 * scale for g, w in zip(doc["values"], want))
+        assert close or "warning" in err or doc.get("warnings")
 
 
 class TestStressAccuracy:

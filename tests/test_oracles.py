@@ -76,6 +76,31 @@ class TestMoreira:
         got = moreira_series(x, 15).values
         assert got == pytest.approx(ld, rel=1e-9, abs=1e-9)
 
+    def test_sums_in_floats_with_no_imaginary_part(self, monkeypatch):
+        # moreira reads only real parts at the origin and at real poles and
+        # folds each pair into a cosine, so it has no imaginary residue for
+        # _discard_imag to check: forbidding the check changes no value
+        rng = random.Random(3)
+        cases = [random_rational(rng)[0] for _ in range(60)]
+        cases += [
+            parse_rational_expr(text)[0]
+            for text in (
+                "(2z+3)/((z^2-2z+2)^3)",
+                "(z^6+2z-1)/((z^2+1)^2 (z-1)^2)",
+                "(z^3+2)/(z^2*(z-0.5)^2*(z^2-z+0.5)^2)",
+                "(0.5z^2-1.25z+2)/((z^2-1.1015625z+0.94140625)^3 (z+0.98046875))",
+            )
+        ]
+        want = [repr(moreira_series(x, 80).values) for x in cases]
+
+        def refuse(value, where):
+            raise AssertionError(f"{where} formed an imaginary part")
+
+        monkeypatch.setattr(oracles, "_discard_imag", refuse)
+        got = [moreira_series(x, 80).values for x in cases]
+        assert list(map(repr, got)) == want
+        assert all(type(v) is float for vals in got for v in vals)
+
 
 def over_z_table(x):
     """X(z)/z's principal-part table at the oracles' poles: juric's c_j = A_{m-j}."""

@@ -65,7 +65,8 @@ def recombine(pf):
     Self-check oracle for real_pfe: the result must equal the source
     rational function coefficient-wise after normalization. It multiplies
     the terms' own factors out in floats, sharing nothing with real_pfe's
-    integer expansion.
+    integer expansion. A polynomial part's c z**i is Impulse(c, -i), a power
+    -i of the factor z.
     """
     powers = factor_powers(pf.terms)
 
@@ -77,7 +78,7 @@ def recombine(pf):
         )
 
     den = cofactor(None, 0)
-    num = pf.poly_part * den
+    num = Polynomial(())
     for t in pf.terms:
         phi, j = term_factor(t)
         base = cofactor(phi.coeffs, j)
@@ -105,7 +106,6 @@ class TestRealPfe:
         x = rf([1], [1, 0, 1])
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
-        assert pf.poly_part.is_zero
         (t,) = pf.terms
         assert type(t) is QuadPole
         assert (t.a, t.b, t.mult) == (0.0, 1.0, 1)
@@ -134,19 +134,18 @@ class TestRealPfe:
         x = rf([1, 0, 0, 1], [1, 0, 1])  # (z^3+1)/(z^2+1)
         f = FactoredDenominator(0, (), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
-        assert pf.poly_part == Polynomial([0, 1])
-        (qt,) = pf.terms
+        imp, qt = pf.terms
+        assert imp == Impulse(1.0, -1)  # z
         assert qt.z_amp == -1.0 and qt.const_amp == 1.0
+        assert pf.warnings == ("non-causal polynomial part: delta[n+k] terms vanish for n >= 0",)
 
     def test_repeated_pair_structure_exact(self):
         den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
         x = RationalFunction(Polynomial([3, 2]), den)
         f = FactoredDenominator(0, (), (QuadraticFactor(1.0, 1.0, 3),))
         pf = real_pfe(x, f)
-        by_j = {t.mult: t for t in pf.terms}
-        assert by_j[1].z_amp == 0.0 and by_j[1].const_amp == 0.0
-        assert by_j[2].z_amp == 0.0 and by_j[2].const_amp == 0.0
-        assert by_j[3].z_amp == 2.0 and by_j[3].const_amp == 3.0
+        # the j = 1 and j = 2 amplitudes are exactly 0.0, so those terms drop
+        assert pf.terms == (QuadPole(2.0, 3.0, 1.0, 1.0, 3),)
 
     def test_mismatched_factorization_rejected(self):
         x = rf([1], [1, 0, 1])

@@ -36,6 +36,26 @@ def test_pfe_imports_only_errors_and_polynomial():
     assert modules == {"errors", "polynomial"}
 
 
+def test_closedform_imports_no_private_name_from_pfe():
+    tree = ast.parse((ROOT / "src/zinv/closedform.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "pfe":
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+
+
+def test_only_real_pfe_builds_the_closed_form():
+    # the expansion and the closed form are one record, with one home
+    builders = set()
+    for path in sorted((ROOT / "src/zinv").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name == "ClosedFormExpr":
+                    builders.add((path.stem, getattr(top, "name", None)))
+    assert builders == {("pfe", "real_pfe")}
+
+
 # what identities may take from the package: the sweep checks the closed
 # form, so it shares no code with it beyond the table type
 IDENTITY_IMPORTS = {"closedform": {"SequenceTable"}, "errors": {"ConjugateSymmetryError"}}
