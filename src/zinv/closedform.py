@@ -21,30 +21,29 @@ and their sequences:
 
 Evaluation regroups each trig factor as
 r^(n-2k) sin(m th) / (2 sin th)^(2k-1) = Im((a+ib)^m) (a^2+b^2)^j / (2b)^(2k-1)
-with m = n-2j-1: the same formula in Gaussian powers, so integer pole data
-is evaluated in exact integers with one correctly rounded final division, and
-non-integer data in floats. eval_sequence is the one evaluator: it walks
-n = 0..N once over all terms, CHUNK values of n at a time. Each pole pair
-keeps one running product (a+ib)^m, shared by all its multiplicities and by
-s1, with only the last 2K-1 powers carried from chunk to chunk so exact
-integer powers never fill an O(N^2)-bit table. One formula body, _s0,
-evaluates a chunk: each j-th summand is one list pass,
-t + w * Im * (-1)^j (a^2+b^2)^j, whose exact integer weight
-w = C(n-1,j) C(n-k-1-j,k-1-j) is a column of chained products without the
-C(.,0) = 1 factors, with each C(m,1) = m factor the range of m itself; the
-passes add to totals from an int 0 in j order and the last also divides, the
-operations of a value-by-value loop in order. The terms are added to the
-chunk's running sum in term order: a quadratic term in the pass that makes
-it, v + (0.0 + z_amp*s1 + const_amp*s0) without the piece of a zero
-amplitude, and a real-pole or impulse term as a column, as it is built.
-That is still this sum, not the denominator's recurrence: the recurrence is
-the long-division oracle, which must stay independent. The formula bodies
-are plain arithmetic; the float range has one rule, for int and float data
-alike, applied in two places: _term_col raises OverflowError, named for the
-term's kind, at the first n whose s0 or real-pole value is not a finite
-float, and _sum does when every term is finite but their sum is not. The
-supports are gated explicitly: without the gates the k=1 formula is nonzero
-at small n where the true sequence must vanish.
+with m = n-2j-1: the same formula in Gaussian powers, computed in the
+arithmetic of each term's data: integer-valued int or float pole data as ints,
+with one correctly rounded division in s0, exact rationals exactly, and other
+float data in floats. eval_sequence is the one evaluator: it walks n = 0..N
+once over all terms, CHUNK values of n at a time. Each pole pair keeps one
+running product (a+ib)^m, shared by all its multiplicities and by s1, with
+only the last 2K-1 powers carried from chunk to chunk so exact powers never
+fill an O(N^2)-bit table. One formula body, _s0, evaluates a chunk: each j-th
+summand t + w * Im * (-1)^j (a^2+b^2)^j, with an exact integer weight w, is
+one list pass; the passes add to totals from an int 0 in j order and the last
+also divides, the operations of a value-by-value loop in order. The terms are
+added to the chunk's running sum, from an int 0, in term order: a quadratic
+term in the pass that makes it, v + (z_amp*s1 + const_amp*s0), a real-pole
+term as a column, and an impulse in place. That is still this sum, not the
+denominator's recurrence: the recurrence is the long-division oracle, which
+must stay independent. The formula bodies are plain arithmetic with one
+rounding point: _sum converts each value to a float once, after the float
+range rule, so exact data give float(exact). The rule, one for all data, is
+applied in two places: _term_col raises OverflowError, named for the term's
+kind, at the first n whose s0 or real-pole value is not a finite float, and
+_sum does when every term is finite but their sum is not. The supports are
+gated explicitly: without the gates the k=1 formula is nonzero at small n
+where the true sequence must vanish.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def _s0(a, b, k, ns, im, off):
     the float operations of a value-by-value loop in its order.
     """
     lo = min(max(ns.start, 2 * k), ns.stop)
-    zeros = [0.0] * (lo - ns.start)
+    zeros = [0] * (lo - ns.start)
     if lo == ns.stop:
         return zeros
     s2, totals = a * a + b * b, repeat(0)
@@ -107,22 +106,28 @@ def _s0(a, b, k, ns, im, off):
         ws = map(operator.mul, ws, c2) if j else c2
         totals = [t + w * x * p for t, w, x in zip(totals, ws, xs)]
     sign, den = 2 * (-1) ** (k - 1), (2 * b) ** (2 * k - 1)
-    # a tiny b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
-    if den < sys.float_info.min:
+    # a tiny float b leaves (2b)^(2k-1) subnormal or 0.0, with too few bits to divide by
+    if isinstance(den, float) and den < sys.float_info.min:
         raise OverflowError
     if k == 1:
         return zeros + [sign * (0 + x) / den for x in xs]
     return zeros + [sign * (t + w * x * p) / den for t, w, x in zip(totals, ws, xs)]
 
 
+def _ints(*vs):
+    """vs as ints when all are integer-valued ints or floats, else as given
+    (exact rationals stay exact: an int pair's s0 ends in a float division)."""
+    exact = all(isinstance(v, (int, float)) and v == int(v) for v in vs)
+    return tuple(map(int, vs)) if exact else vs
+
+
 def _pair_chunks(a, b, k, n_end):
-    """(a, b, im, off) per CHUNK of n < n_end: a, b as ints when both are
-    integer-valued, else as floats, and im[m - off] = Im((a+ib)**m) for the m
-    that _s0 reads in the chunk, from one running product keeping the last
-    2k-1 powers of the chunk before (exact integer powers grow without bound:
-    a full table is O(N^2) bits).
+    """(a, b, im, off) per CHUNK of n < n_end: a, b by _ints, and
+    im[m - off] = Im((a+ib)**m) for the m that _s0 reads in the chunk, from
+    one running product keeping the last 2k-1 powers of the chunk before
+    (exact powers grow without bound: a full table is O(N^2) bits).
     """
-    a, b = (int(a), int(b)) if a == int(a) and b == int(b) else (float(a), float(b))
+    a, b = _ints(a, b)
     keep = 2 * k - 1
     im = [0] * keep  # the m < 0 are never read
     re, cur = 1, 0
@@ -136,17 +141,17 @@ def _pair_chunks(a, b, k, n_end):
 
 def _real_pole_col(t, ns):
     """[x[n] for n in ns] of the RealPole t, unchecked: a value may be inf,
-    and OverflowError escapes as it is raised. An int pole's powers are one
-    running product, exactly pole**e; a float pole's are pow per value, since
-    a running product would round at every step.
+    and OverflowError escapes as it is raised. A float pole's powers (after
+    _ints) are pow per value, as a running product would round at every step;
+    any other pole's are one running product, exactly pole**e.
     """
-    amp, pole, k = t.amp, t.pole, t.mult
+    amp, (pole,), k = t.amp, _ints(t.pole), t.mult
     lo = min(max(ns.start, k), ns.stop)
-    zeros, es = [0.0] * (lo - ns.start), range(lo - k, ns.stop - k)
+    zeros, es = [0] * (lo - ns.start), range(lo - k, ns.stop - k)
     if lo == ns.stop:
         return zeros
-    pows = (accumulate(repeat(pole, len(es) - 1), operator.mul, initial=pole**es.start)
-            if isinstance(pole, int) else map(pow, repeat(pole), es))
+    pows = (map(pow, repeat(pole), es) if isinstance(pole, float)
+            else accumulate(repeat(pole, len(es) - 1), operator.mul, initial=pole**es.start))
     if k == 1:  # C(n-1, 0) = 1
         return zeros + [amp * p for p in pows]
     cs = _comb_col(range(lo - 1, ns.stop - 1), k - 1)
@@ -161,10 +166,9 @@ def _term_col(t, ns, powers, vals):
     _pair_chunks for _s0, which reach one past ns for the z-numerator piece.
     """
     if isinstance(t, Impulse):
-        col = [0.0] * len(ns)
         if t.index in ns:
-            col[t.index - ns.start] = t.amp
-        return list(map(operator.add, vals, col))
+            vals[t.index - ns.start] += t.amp
+        return vals
     try:
         if isinstance(t, RealPole):
             kind = "real-pole"
@@ -185,31 +189,31 @@ def _term_col(t, ns, powers, vals):
     if isinstance(t, RealPole):
         return list(map(operator.add, vals, s))
     za, ca = t.z_amp, t.const_amp
-    # the term is each nonzero piece added to 0.0 in turn, then added to v
-    if za and ca:
-        return [v + (0.0 + za * s1 + ca * s0) for v, s1, s0 in zip(vals, s[1:], s)]
-    if za:
-        return [v + (0.0 + za * s1) for v, s1 in zip(vals, s[1:])]
-    return [v + (0.0 + ca * s0) for v, s0 in zip(vals, s)]
+    # without s1 (z_amp = 0) s is s0 alone, and za * s0 is a zero
+    return [v + (za * s1 + ca * s0) for v, s1, s0 in zip(vals, s[1:] if za else s, s)]
 
 
 def _finite(vals):
-    """All finite floats: one sum, value by value if it is not (finite ones can sum to inf)."""
-    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+    """All convert to finite floats: one float sum if it is finite (a float inf
+    or nan cannot cancel; an exact sum can), else value by value."""
+    try:
+        total = sum(vals)
+        return isinstance(total, float) and math.isfinite(total) or all(map(math.isfinite, vals))
+    except OverflowError:  # an exact value past the float range
+        return False
 
 
 def _sum(terms, ns, powers):
-    """[x[n] for n in ns]: each term added to a running sum from int 0, in term order.
-
-    OverflowError, named for n = ns.start, if a term or the sum is not a
-    finite float: exact for a one-element ns.
-    """
+    """[x[n] for n in ns]: each term added to a running sum from int 0, in term
+    order, then each value rounded to a float once; OverflowError, named for
+    n = ns.start, if a term or the sum is not a finite float: exact for a
+    one-element ns."""
     vals = [0] * len(ns)
     for t in terms:
         vals = _term_col(t, ns, powers, vals)
     if not _finite(vals):
         raise OverflowError(f"closed-form sum overflows a float at n={ns.start}")
-    return vals
+    return list(map(float, vals))
 
 
 def eval_sequence(expr, n_max):

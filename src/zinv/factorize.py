@@ -246,12 +246,8 @@ def _polish(d, skel):
     find_roots.
     """
     linears = []
-    for f in skel.linears:
-        r = f.r
-        if f.u > 1:
-            z = _newton(d.derivative(f.u - 1), d.derivative(f.u), complex(r, 0.0))
-            if abs(z.imag) <= 1e-6 * (1 + abs(z)):
-                r = z.real
+    for f in skel.linears:  # Newton iterates from a real start stay real
+        r = _newton(d.derivative(f.u - 1), d.derivative(f.u), f.r) if f.u > 1 else f.r
         linears.append(LinearFactor(r, f.u))
     quads = []
     for f in skel.quadratics:

@@ -129,6 +129,28 @@ class TestTable:
         doc = json.loads(capsys.readouterr().out)
         assert doc["values"] == [1, 1, 1]
 
+    def _values(self, expr, capsys, n=600):
+        assert main(["table", expr, "--n", str(n), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["values"]
+
+    def test_integer_valued_float_pole_is_exact(self, capsys):
+        # a float pole with an integer value takes exact integer powers, like
+        # an int pole: each 3**(n-1) rounded once
+        values = self._values("1/(z-3.0)", capsys)
+        assert values == self._values("1/(z-3)", capsys)
+        assert values == [0.0] + [float(3 ** (n - 1)) for n in range(1, 601)]
+        # the monic form's amplitude 1/8 scales each value exactly
+        scaled = self._values("1/(2*z-6)^3", capsys)
+        assert scaled == [0.125 * v for v in self._values("1/(z-3)^3", capsys)]
+
+    @pytest.mark.parametrize("expr", ["0", "0/(z-1)"])
+    def test_zero_table_prints_floats(self, expr, capsys):
+        # no term: the values are still rounded to floats
+        assert main(["table", expr, "--n", "2", "--format", "json"]) == 0
+        assert '"values": [\n    0.0,\n    0.0,\n    0.0\n  ]' in capsys.readouterr().out
+        assert main(["table", expr, "--n", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "n,x\n0,0.0\n1,0.0\n2,0.0\n"
+
 
     @pytest.mark.parametrize("expr", ["1/(z^2-4z+8)", "1/(z^2-4.5z+8.5)"])
     def test_overflow_exit_one(self, expr, capsys):

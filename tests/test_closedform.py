@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -336,15 +337,16 @@ def _expansion(rng, pairs, reals):
     return ClosedFormExpr(tuple(terms))
 
 
-def _exact_series(x, n_max):
-    """x[0..n_max] of a proper x with a monic denominator, exact, then rounded.
+def _exact_fractions(num, den, n_max):
+    """x[0..n_max] of num/den, exact: ascending coefficients of a proper
+    fraction with a monic denominator, floats or other rationals.
 
     Every float is a rational. With m and f the common denominators of the
     denominator's and the numerator's coefficients, y[n] = x[n] * f * m**n
     is an integer, so long division runs on the y[n] without a gcd.
     """
-    num = [Fraction(v) for v in x.num.coeffs]
-    den = [Fraction(v) for v in x.den.coeffs]
+    num = [Fraction(v) for v in num]
+    den = [Fraction(v) for v in den]
     assert den[-1] == 1
     q = len(den) - 1
     m = math.lcm(*(v.denominator for v in den))
@@ -356,7 +358,29 @@ def _exact_series(x, n_max):
         y = (c[q - n] if 0 <= q - n < len(c) else 0) * m**n
         y -= sum(d[q - i] * ys[n - i] * m ** (i - 1) for i in range(1, min(n, q) + 1))
         ys.append(y)
-    return [y / (f * m**n) for n, y in enumerate(ys)]
+    return [Fraction(y, f * m**n) for n, y in enumerate(ys)]
+
+
+def _exact_series(x, n_max):
+    """x[0..n_max] of a proper x with a monic denominator, exact, then rounded."""
+    return list(map(float, _exact_fractions(x.num.coeffs, x.den.coeffs, n_max)))
+
+
+def _times(*factors):
+    """Ascending coefficients of the product of ascending coefficient lists."""
+    out = [Fraction(1)]
+    for g in factors:
+        prod = [Fraction(0)] * (len(out) + len(g) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(g):
+                prod[i + j] += u * v
+        out = prod
+    return out
+
+
+def _pair_den(a, b, k):
+    """Ascending coefficients of (z^2 - 2az + a^2 + b^2)^k."""
+    return _times(*[[a * a + b * b, -2 * a, 1]] * k)
 
 
 class TestNearRealPair:
@@ -684,6 +708,69 @@ class TestFirstFailingN:
         # the float range before any division
         with pytest.raises(OverflowError, match="^quadratic-pole sequence overflows a float at n=6$"):
             _pair_table(0.0, 1.0, 0.5, 1e100, 3, 10)
+
+
+class TestExactData:
+    """Terms with exact rational data are evaluated exactly and each value is
+    rounded once: eval_sequence gives float() of the exact series."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_near_real_pair_is_correctly_rounded(self, theta, k):
+        # the pair parsed from c1 = -2cos(theta) written to 17 digits; its float
+        # data lose about (2k-2)log10(1/theta) digits (TestNearRealPair)
+        _, f = parse_rational_expr(f"1/(z^2{-2 * math.cos(theta):+.17g}*z+1)^{k}")
+        (q,) = f.quadratics
+        a, b = Fraction(q.a), Fraction(q.b)
+        want = _exact_fractions([1], _pair_den(a, b, k), 60)
+        assert _bits(_pair_table(0, 1, a, b, k, 60)) == _bits(map(float, want))
+
+    def test_mixed_terms_past_a_chunk(self):
+        # an impulse, a triple pair with both amplitudes and a double real pole
+        a, b, p = Fraction(1, 2), Fraction(3, 4), Fraction(-9, 10)
+        terms = (
+            Impulse(Fraction(1, 3), 2),
+            QuadPole(Fraction(2, 7), Fraction(-5, 3), a, b, 3),
+            RealPole(Fraction(5, 3), p, 2),
+        )
+        n_max = closedform.CHUNK + 76
+        pair = _exact_fractions([Fraction(-5, 3), Fraction(2, 7)], _pair_den(a, b, 3), n_max)
+        real = _exact_fractions([Fraction(5, 3)], _times([-p, 1], [-p, 1]), n_max)
+        want = [x + y + (Fraction(1, 3) if n == 2 else 0) for n, (x, y) in enumerate(zip(pair, real))]
+        got = eval_sequence(ClosedFormExpr(terms), n_max).values
+        assert _bits(got) == _bits(map(float, want))
+
+    def test_tiny_pair_evaluates(self):
+        # (2b)^3 = 8e-450 is out of the float range, but exactly it divides
+        # like any other number; the same pair as floats still fails closed
+        got = _pair_table(0, 1, 0, Fraction(1, 10**150), 2, 6)
+        assert _bits(got) == _bits([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -2e-300])
+        with pytest.raises(OverflowError, match="^quadratic-pole sequence overflows a float at n=4$"):
+            _pair_table(0.0, 1.0, 0.0, 1e-150, 2, 6)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        # the int-data cases: float pair data can overflow on the way a few n
+        # before the value does (n = 664 for 1/(z^2-4.5z+8.5), exactly 666),
+        # and exact powers of float-derived data are slow to n = 1000
+        [c for c in TestFirstFailingN.CASES if "." not in c[0] and "e" not in c[0]] + [
+            ((RealPole(1e300, 10.0, 1),), "real-pole sequence overflows a float at n=10"),
+            ((RealPole(1e308, 1.0, 1),) * 2, "closed-form sum overflows a float at n=1"),
+        ],
+    )
+    def test_overflow_is_named_at_the_same_n_as_for_floats(self, source, message):
+        terms = invert_expression(source).terms if isinstance(source, str) else source
+        exact = [
+            dataclasses.replace(t, **{
+                f.name: Fraction(getattr(t, f.name))
+                for f in dataclasses.fields(t) if f.name not in ("mult", "index")
+            })
+            for t in terms
+        ]
+        for ts in (terms, exact):
+            with pytest.raises(OverflowError) as raised:
+                eval_sequence(ClosedFormExpr(tuple(ts)), 100000)
+            assert str(raised.value) == message
 
 
 class TestEvalInvariants:

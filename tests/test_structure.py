@@ -84,6 +84,34 @@ def test_float_range_rule_only_in_term_col_and_sum():
     assert owners == {"_term_col", "_sum"}
 
 
+def test_closedform_evaluation_rounds_only_in_sum():
+    # eval_sequence and what it calls compute in the arithmetic of the terms'
+    # data: no float literal, and float() only in _sum, which rounds each value
+    # once; isinstance(v, float) tests are not conversions
+    tree = ast.parse((ROOT / "src/zinv/closedform.py").read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    body, todo = set(), ["eval_sequence"]
+    while todo:
+        name = todo.pop()
+        if name not in body:
+            body.add(name)
+            todo += [n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name) and n.id in funcs]
+    assert {"_s0", "_pair_chunks", "_real_pole_col", "_term_col", "_sum"} <= body
+    literals, converters = set(), set()
+    for name in body:
+        tested = {
+            id(t) for n in ast.walk(funcs[name])
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+            for t in ast.walk(n.args[1])
+        }
+        for n in ast.walk(funcs[name]):
+            if isinstance(n, ast.Constant) and isinstance(n.value, float):
+                literals.add(name)
+            if isinstance(n, ast.Name) and n.id == "float" and id(n) not in tested:
+                converters.add(name)
+    assert (literals, converters) == (set(), {"_sum"})
+
+
 def test_traced_layer_functions_exist():
     # bench/spans.py wraps these by name; a rename must fail here, not only
     # in a traced bench run
