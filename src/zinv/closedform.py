@@ -85,7 +85,9 @@ def _s0(a, b, k, ns, im, off):
     im[m - off] = Im((a+ib)**m) for every m = n-2j-1 with 2k <= n in ns. The
     j-th summand is one pass over ns adding w * Im * p to totals that start
     from int 0 (a -0.0 first summand adds to 0.0), in j order; the last pass
-    also divides. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) leaves out
+    also divides by (2b)^(2k-1), then scales by 2(-1)^(k-1): doubling is exact
+    in the normal range, so a total near the top of the float range is
+    divided before it is doubled, not doubled past it. The integer weight w = C(n-1,j) C(n-k-1-j,k-1-j) leaves out
     the factors that are 1 (k = 1 has none) and reads C(m,1) = m off its
     range; p = (-1)^j (a^2+b^2)^j carries the sign, exactly. So int data gives
     exact integer totals and one correctly rounded division, and float data
@@ -110,8 +112,8 @@ def _s0(a, b, k, ns, im, off):
     if isinstance(den, float) and den < sys.float_info.min:
         raise OverflowError
     if k == 1:
-        return zeros + [sign * (0 + x) / den for x in xs]
-    return zeros + [sign * (t + w * x * p) / den for t, w, x in zip(totals, ws, xs)]
+        return zeros + [(0 + x) / den * sign for x in xs]
+    return zeros + [(t + w * x * p) / den * sign for t, w, x in zip(totals, ws, xs)]
 
 
 def _ints(*vs):

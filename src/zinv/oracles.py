@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import factorize
 from .closedform import SequenceTable, eval_sequence, invert
@@ -50,22 +50,24 @@ def longdiv_series(x, n_max):
     """Power-series coefficients of X(z) in 1/z by the division recurrence.
 
     With monic denominator z^q + a_1 z^(q-1) + ... + a_q and the numerator
-    aligned to z^q, x[n] = num[z^(q-n)] - sum_{i=1}^{min(n,q)} a_i x[n-i].
+    aligned to z^q, x[n] = num[z^(q-n)] - sum_{i=1}^{q} a_i x[n-i], run from
+    n0 = min(0, q-p) with x[n] = 0 before n0 (p the numerator's degree). An
+    improper X's z^k terms, k >= 1, are its x[-k]: they pass through the
+    recurrence and are dropped, as they never fire for n >= 0.
     Exact when the coefficients are integers (and the values within float range).
     """
     p, q = x.num.degree, x.den.degree
-    if p > q:
-        raise ValueError("non-causal: improper rational")
+    n0 = min(0, q - p)
     vals = []
-    for n in range(n_max + 1):
+    for n in range(n0, n_max + 1):
         try:
             acc = x.num.coeff(q - n)
-            for i in range(1, min(n, q) + 1):
-                acc -= x.den.coeff(q - i) * vals[n - i]
+            for i in range(1, min(n - n0, q) + 1):
+                acc -= x.den.coeff(q - i) * vals[n - n0 - i]
         except OverflowError:
             acc = math.nan
         vals.append(_finite("longdiv", n, acc))
-    return SequenceTable(tuple(vals))
+    return SequenceTable(tuple(vals[-n0:]))
 
 
 def moreira_series(x, n_max, poles=None):
@@ -225,20 +227,20 @@ SERIES_METHODS = {
 _RESIDUE_BASE = (1, 5, 17, 33, 50)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodRun:
     values: tuple | None
     seconds: float
     error: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonReport:
     n_max: int
     tolerance: float
     methods: dict
-    pairs: list = field(default_factory=list)  # (name_a, name_b, max_dev)
-    residue_checks: list = field(default_factory=list)  # (n, value, dev, error)
+    pairs: tuple = ()  # (name_a, name_b, max_dev)
+    residue_checks: tuple = ()  # (n, value, dev, error)
     scale: float = 1.0
     passed: bool = True
 
@@ -250,8 +252,7 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     """Run every method on x and report pairwise deviations.
 
     Per-method failures are captured in the report rather than raised, and
-    fail the case, except long division refusing an improper input (outside
-    its domain). Values are judged pairwise against tol * max(1, max |x[n]|),
+    fail the case. Values are judged pairwise against tol * max(1, max |x[n]|),
     with the long-division series as the preferred scale anchor. A non-finite
     bound or deviation fails.
     """
@@ -269,38 +270,31 @@ def compare_methods(x, n_max=50, tol=1e-7, factored=None):
     anchor = next(
         (m for m in ("longdiv", *methods) if methods[m].values is not None), None
     )
-
-    report = ComparisonReport(n_max, tol, methods)
     if anchor is None:
-        report.passed = False
-        return report
-    report.scale = max(1.0, _worst(abs(v) for v in methods[anchor].values))
-    bound = tol * report.scale
-    report.passed = math.isfinite(bound) and all(
-        run.error is None or (name == "longdiv" and not x.is_proper)
-        for name, run in methods.items()
-    )
+        return ComparisonReport(n_max, tol, methods, passed=False)
+    ref = methods[anchor].values
+    scale = max(1.0, _worst(abs(v) for v in ref))
+    bound = tol * scale
 
     names = [m for m in methods if methods[m].values is not None]
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            dev = _worst(
-                abs(va - vb)
-                for va, vb in zip(methods[a].values, methods[b].values)
-            )
-            report.pairs.append((a, b, dev))
-            if not within_bound(dev, bound):
-                report.passed = False
+    pairs = tuple(
+        (a, b, _worst(abs(va - vb) for va, vb in zip(methods[a].values, methods[b].values)))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    )
 
-    ref = methods[anchor].values
-    for n in (i for i in _RESIDUE_BASE if 1 <= i <= n_max):
+    def residue_check(n):
         try:
             val = residue_value(x, n, poles=poles)
-            dev = abs(val - ref[n])
-            report.residue_checks.append((n, val, dev, None))
-            if not within_bound(dev, bound):
-                report.passed = False
+            return n, val, abs(val - ref[n]), None
         except METHOD_ERRORS as exc:
-            report.residue_checks.append((n, None, None, f"{exc}"))
-            report.passed = False
-    return report
+            return n, None, None, f"{exc}"
+
+    checks = tuple(residue_check(n) for n in _RESIDUE_BASE if 1 <= n <= n_max)
+    passed = (
+        math.isfinite(bound)
+        and len(names) == len(methods)
+        and all(within_bound(dev, bound) for *_, dev in pairs)
+        and all(err is None and within_bound(dev, bound) for *_, dev, err in checks)
+    )
+    return ComparisonReport(n_max, tol, methods, pairs, checks, scale, passed)

@@ -16,7 +16,9 @@ grammar cannot take, and it evaluates as it parses: each rule yields its
 polynomial together with the multiplicands it folded into it. When the
 denominator is a product of powers of linear or irreducible quadratic
 polynomials, its exact factor structure is read off those multiplicands, so
-that inversion can bypass numeric root finding.
+that inversion can bypass numeric root finding; any other denominator, one
+with a reducible quadratic or a cubic multiplicand say, is left to numeric
+factoring.
 """
 
 from __future__ import annotations
@@ -78,18 +80,17 @@ def tokenize(text):
 
 
 _ATOM_START = ("number", "z", "(")
-_MINUS_ONE = (Polynomial((-1,)), 1, 0, False)
+_MINUS_ONE = (Polynomial((-1,)), 1)
 
 
 class _Parser:
     """Recursive descent that evaluates while it parses.
 
     Every rule returns (value, factors): the polynomial it denotes, and the
-    multiplicands whose product it is, each (base, exp, pos, powered) with
-    pos the offset where the base is written. A product concatenates its
-    operands' factors, unary minus adds a -1 constant, "^k" multiplies each
-    factor's exponent by k and marks it powered, and parentheses are
-    transparent; a sum is one factor.
+    multiplicands whose product it is, each (base, exp). A product
+    concatenates its operands' factors, unary minus adds a -1 constant, "^k"
+    multiplies each factor's exponent by k, and parentheses are transparent;
+    a sum is one factor.
     """
 
     def __init__(self, text, tokens):
@@ -130,13 +131,12 @@ class _Parser:
         return num, slash, den, den_factors
 
     def expr(self):
-        pos = self.peek().pos
         value, factors = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
             rhs = self.term()[0]
             value = value + rhs if op == "+" else value - rhs
-            factors = [(value, 1, pos, False)]
+            factors = [(value, 1)]
         return value, factors
 
     def term(self):
@@ -173,8 +173,8 @@ class _Parser:
         k = tok.value
         # z^k directly: the repeated product gives exactly these ints
         value = Polynomial((0,) * k + (1,)) if base is Z else base**k
-        # (A*B)^k is A^k*B^k: each multiplicand keeps its base and position
-        return value, [(b, e * k, p, True) for b, e, p, _ in factors]
+        # (A*B)^k is A^k*B^k: each multiplicand keeps its base
+        return value, [(b, e * k) for b, e in factors]
 
     def atom(self):
         tok = self.peek()
@@ -194,15 +194,13 @@ class _Parser:
             if self.peek().kind != ")":
                 self.fail("missing closing parenthesis", expected=(")",))
             self.next()
-            if len(factors) > 1 or factors[0][3]:
-                return value, factors
-            # a lone unpowered factor, a sum say, is located at its outermost "("
+            return value, factors
         else:
             self.fail(
                 f"unexpected token {tok.value!r}" if tok.kind != "end" else "unexpected end of input",
                 expected=("NUMBER", "'z'", "'('", "'-'"),
             )
-        return value, [(value, 1, tok.pos, False)]
+        return value, [(value, 1)]
 
 
 # -- factored-denominator extraction -----------------------------------------
@@ -213,20 +211,19 @@ def _underflowed(product, factor):
     return factor != 0 and abs(product) < sys.float_info.min
 
 
-def _extract_factored(factors, text):
+def _extract_factored(factors):
     """Exact factor structure of the monic denominator from its multiplicands
-    (constants and leading coefficients are not recorded), or None to fall back.
-
-    Raises only for explicitly factored input containing a quadratic factor
-    that is reducible over the reals.
+    (constants and leading coefficients are not recorded), or None to leave it
+    to numeric factoring: a multiplicand of degree 3 or more, a quadratic
+    reducible over the reals, or one whose float discriminant or pair is out
+    of range.
     """
-    poly_factors = [(p, exp, pos) for p, exp, pos, _ in factors if p.degree != 0 and exp > 0]
-    explicit = len(poly_factors) > 1 or any(powered for *_, powered in factors)
-
     origin = 0
     linears = {}
     quads = {}
-    for p, exp, pos in poly_factors:
+    for p, exp in factors:
+        if p.degree == 0 or exp == 0:
+            continue
         if p.degree == 1:
             c0, c1 = p.coeff(0), p.coeff(1)
             if c1 == 1:
@@ -246,8 +243,6 @@ def _extract_factored(factors, text):
             if _underflowed(sq, c1) or _underflowed(prod, c0) or not abs(disc) < math.inf:
                 return None  # a float discriminant out of range decides nothing
             if disc >= 0:
-                if explicit:
-                    raise _error(text, pos, "factor is reducible; supply linear factors")
                 return None
             try:
                 a = -c1 / (2 * c2)
@@ -281,7 +276,7 @@ def parse_rational_expr(text):
     num, slash, den, den_factors = _Parser(text, tokens).parse()
     if den.is_zero:
         raise _error(text, slash.pos, "denominator is identically zero")
-    factored = _extract_factored(den_factors, text)
+    factored = _extract_factored(den_factors)
     x = RationalFunction(num, den)
     # x.den is shorter than den when the numerator cancelled a factor: numeric factoring
     if factored is not None and not factored.degree == x.den.degree == den.degree:

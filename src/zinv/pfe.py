@@ -60,11 +60,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def is_proper(self):
-        """True when deg(num) <= deg(den), i.e. the inverse is causal."""
-        return self.num.degree <= self.den.degree
-
     def __str__(self):
         return f"({self.num})/({self.den})"
 

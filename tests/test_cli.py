@@ -124,6 +124,20 @@ class TestTable:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,proposed,longdiv,moreira,juric"
 
+    def test_improper_input_all_columns_agree(self, capsys):
+        # long division drops the z^k terms of the improper input, as the others do
+        expr = "(z^6-2z+1)/((z-0.5)^2 (z^2+z+1))"
+        assert main(["table", expr, "--n", "40", "--method", "all", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["columns"] == ["n", "proposed", "longdiv", "moreira", "juric"]
+        for proposed, *others in doc["values"]:
+            assert others == pytest.approx([proposed] * 3, rel=1e-9, abs=1e-9)
+
+    def test_value_near_the_top_of_the_float_range(self, capsys):
+        # 2 Im((a+ib)^663) is beyond the float range, x[664] is not
+        assert main(["table", "1/(z^2-4.5z+8.5)", "--n", "664"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "664 -6.75040319924e+307"
+
     def test_json(self, capsys):
         assert main(["table", "z/(z-1)", "--n", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -169,10 +183,10 @@ class TestTable:
         "expr,message",
         [
             ("1/(z^2-4z+8)", "quadratic-pole sequence overflows a float at n=686"),
-            ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=664"),
+            ("1/(z^2-4.5z+8.5)", "quadratic-pole sequence overflows a float at n=665"),
             # the earliest n over all terms: the (z^2-4.5z+8.5)^2 terms fail
             # first, though the (z^2-4z+8) term comes first in term order
-            ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=657"),
+            ("1/((z^2-4.5z+8.5)^2 (z^2-4z+8))", "quadratic-pole sequence overflows a float at n=658"),
             ("1/(z-1.9)^3", "real-pole sequence overflows a float at n=1089"),
             # the unit-modulus pair never overflows; the second pair does, and
             # its z-numerator term reads s0[n+1], so x[2032] is the first to fail
@@ -282,12 +296,11 @@ class TestCompare:
         assert doc["methods"]["moreira"]["error"] is not None
 
     def test_constant_denominator_passes(self, capsys):
-        # long division refuses the improper input (outside its domain);
-        # with no poles every residue is 0
+        # every method runs on the polynomial; with no poles every residue is 0
         assert main(["compare", "z^2+1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
-        assert doc["methods"]["longdiv"]["error"] is not None
+        assert all(m["ok"] and m["error"] is None for m in doc["methods"].values())
         assert [c["value"] for c in doc["residue_checks"]] == [0.0] * 5
 
     def test_batch_compare(self, tmp_path, capsys):

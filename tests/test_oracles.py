@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from zinv import corpus, oracles, pfe
-from zinv.closedform import SequenceTable
+from zinv.closedform import SequenceTable, eval_sequence, invert
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
 from zinv.factorize import factor_denominator
@@ -38,9 +39,14 @@ class TestLongDivision:
         got = longdiv_series(RationalFunction(Polynomial([1]), den), 8).values
         assert got == (0, 0, 0, 0, 1, 0, -2, 0, 3)
 
-    def test_improper_rejected(self):
-        with pytest.raises(ValueError, match="non-causal"):
-            longdiv_series(rf([0, 0, 1], [-1, 1]), 5)
+    def test_improper_drops_polynomial_part(self):
+        # z^2/(z-1) = z + 1 + 1/z + ...: the z term is x[-1], never output
+        assert longdiv_series(rf([0, 0, 1], [-1, 1]), 5).values == (1,) * 6
+        assert longdiv_series(rf([-1, 0, 3], [1]), 4).values == (-1, 0, 0, 0, 0)
+        for text in ("3*z^2 - 1", "(z^4+1)/(z^2+1)", "(z^6-2z+1)/((z-0.5)^2 (z^2+z+1))"):
+            x, f = parse_rational_expr(text)
+            want = eval_sequence(invert(x, factored=f), 60).values
+            assert longdiv_series(x, 60).values == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_prefix_exact(self):
         rng = random.Random(42)
@@ -254,12 +260,28 @@ class TestCompareMethods:
         assert dev == 0.0
 
     def test_method_error_captured_not_fatal(self):
-        # improper rational: long division refuses, the others agree
-        x = rf([1, 0, 0, 1], [1, 0, 1])
-        report = compare_methods(x, n_max=15, tol=1e-9)
-        assert report.methods["longdiv"].error is not None
+        # numeric factoring of the expanded triple poles 0.01 apart fails: the
+        # oracles that factor error, the others still run, and the case fails
+        x, f = parse_rational_expr("1/((z-1)^3 (z-1.01)^3)")
+        report = compare_methods(x, n_max=15, tol=1e-9, factored=f)
+        assert report.methods["moreira"].error is not None
         assert report.methods["proposed"].values is not None
+        assert report.methods["longdiv"].values is not None
+        assert not report.passed
+
+    def test_improper_input_passes_with_every_method(self):
+        x, _ = parse_rational_expr("(z^4+1)/(z^2+1)")
+        report = compare_methods(x, n_max=30, tol=1e-9)
+        assert all(run.error is None for run in report.methods.values())
         assert report.passed
+
+    def test_report_is_immutable(self):
+        report = compare_methods(rf([1], [1, 0, 1]), n_max=10)
+        assert isinstance(report.pairs, tuple) and isinstance(report.residue_checks, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.methods["longdiv"].error = "x"
 
     def test_nan_deviation_fails(self, monkeypatch):
         # a NaN after the first index is skipped by a plain max()

@@ -100,11 +100,15 @@ class TestFactoredExtraction:
         assert f is None
         assert x.den == Polynomial([2, -3, 1])
 
-    def test_explicit_reducible_quadratic_rejected(self):
-        with pytest.raises(ParseError, match="reducible"):
-            parse_rational_expr("1/((z^2-3*z+2)^2)")
-        with pytest.raises(ParseError, match="reducible"):
-            parse_rational_expr("1/((z-5)*(z^2-3*z+2))")
+    def test_explicit_reducible_quadratic_falls_back(self):
+        # written powered or next to another factor, as bare: numeric factoring
+        for text, den in (
+            ("1/((z^2-3*z+2)^2)", Polynomial([2, -3, 1]) ** 2),
+            ("1/((z-5)*(z^2-3*z+2))", Polynomial([-5, 1]) * Polynomial([2, -3, 1])),
+        ):
+            x, f = parse_rational_expr(text)
+            assert f is None
+            assert x.den == den
 
     @pytest.mark.parametrize(
         "text, flat",
@@ -148,18 +152,18 @@ class TestFactoredExtraction:
         assert f.expand() == x.den
 
     @pytest.mark.parametrize(
-        "text, column",
+        "text",
         [
-            ("1/((z-5)*((z^2-3*z+2)))", 10),
-            ("1/(-(z^2-3*z+2)^2)", 5),
-            ("1/((z^2-1)*(z-3))^2", 4),  # (A*B)^k is checked as A^k*B^k
+            "1/((z-5)*((z^2-3*z+2)))",
+            "1/(-(z^2-3*z+2)^2)",
+            "1/((z^2-1)*(z-3))^2",  # (A*B)^k is read as A^k*B^k
+            "1/((z^2-2*z+1)^6)",  # a double real root written as a quadratic
         ],
     )
-    def test_reducible_factor_column(self, text, column):
-        # a parenthesized factor is located at its outermost "("
-        with pytest.raises(ParseError, match="reducible") as e:
-            parse_rational_expr(text)
-        assert e.value.column == column
+    def test_written_reducible_factor_goes_to_numeric_factoring(self, text):
+        x, f = parse_rational_expr(text)
+        assert f is None
+        assert compare_methods(x, 50, 1e-7).passed
 
     def test_sign_and_constants_through_nested_products(self):
         x, f = parse_rational_expr("1/(2*((z-1)*(-(z+3))))")
