@@ -160,7 +160,7 @@ class TestFactoredExtraction:
             "1/((z^2-2*z+1)^6)",  # a double real root written as a quadratic
         ],
     )
-    def test_written_reducible_factor_goes_to_numeric_factoring(self, text):
+    def test_reducible_factor_falls_back(self, text):
         x, f = parse_rational_expr(text)
         assert f is None
         assert compare_methods(x, 50, 1e-7).passed
