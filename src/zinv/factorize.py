@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, RootFindingError
-from .polynomial import Polynomial
+from .polynomial import ONE, Polynomial
 
 DEFAULT_TOL_REAL = 1e-8
 EXPAND_RTOL = 1e-8
@@ -64,11 +64,17 @@ class FactoredDenominator:
         )
 
     def expand(self):
-        """Multiply the factors back out."""
-        p = Polynomial.from_factors(
-            [(f.r, f.u) for f in self.linears],
-            [(f.a, f.b, f.k) for f in self.quadratics],
-        )
+        """The monic product of the factors, the one builder of such a product: ONE
+        times each (z - r) u times, then each quadratic k times, then z^origin_mult."""
+        p = ONE
+        for f in self.linears:
+            lin = Polynomial((-f.r, 1))
+            for _ in range(f.u):
+                p = p * lin
+        for f in self.quadratics:
+            quad = Polynomial((f.a * f.a + f.b * f.b, -2 * f.a, 1))
+            for _ in range(f.k):
+                p = p * quad
         return p.shift(self.origin_mult)
 
     def pole_list(self):
@@ -263,8 +269,6 @@ def _polish(d, skel):
 def _expand_error(d, f):
     """Relative coefficient error between d and the expanded factorization."""
     e = f.expand()
-    if e.degree != d.degree:
-        return math.inf
     norm = max(d.norm_inf, 1e-300)
     return max(abs(e.coeff(i) - d.coeff(i)) for i in range(d.degree + 1)) / norm
 

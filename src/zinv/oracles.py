@@ -15,7 +15,7 @@ differ only in how they evaluate it; residue reads X's.
 
 SERIES_METHODS is the one method list: compare_methods, the CLI's table
 columns and its --method choices all read it. The oracles factor one
-denominator per request, X(z)/z's, and read X's poles off it (OraclePoles);
+denominator per request, X(z)/z's, and move its origin for X's (OraclePoles);
 they never take the parser's factors or the closed form's.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import factorize
 from .closedform import SequenceTable, eval_sequence, invert
@@ -168,35 +168,24 @@ def within_bound(dev, bound):
 class OraclePoles:
     """The oracles' poles and principal-part tables for one input, from one factoring.
 
-    over_z() is the pole list of X(z)/z's denominator, the one factored, and
-    pfe_over_z() X(z)/z's principal-part table at those poles (moreira, juric).
-    of_x() is X's pole list, read off over_z(), and residue_parts() X's
-    principal parts at those poles (residue). A constant denominator has no
-    poles. A factoring error is kept and raised at each use, where the oracle
-    would have raised it.
+    factored() is the structure of X(z)/z's denominator, the one factored;
+    over_z() is its pole list, pfe_over_z() X(z)/z's principal-part table at
+    those poles (moreira, juric). of_x() is X's pole list, that structure with
+    its origin moved: less the z the division added unless it cancelled (the
+    factoring keeps exact z factors, so the origin stays >= 0). residue_parts()
+    is X's principal parts at those poles (residue). A constant denominator
+    has no poles. A factoring error is kept and raised at each use, where the
+    oracle would have raised it.
     """
 
     def __init__(self, x):
         den = _divided_by_z(x)[1]
-        self.over_z = _once(lambda: factorize.factor_denominator(den).pole_list())
+        moved = x.den.degree - den.degree  # -1 for the added z, 0 where it cancelled
+        f = self.factored = _once(lambda: factorize.factor_denominator(den))
+        self.over_z = _once(lambda: f().pole_list())
         self.pfe_over_z = _once(lambda: complex_pfe_over_z(x, self.over_z()))
-        self.of_x = _once(lambda: _poles_of_x(x, den, self.over_z()))
+        self.of_x = _once(lambda: replace(f(), origin_mult=f().origin_mult + moved).pole_list())
         self.residue_parts = _once(lambda: principal_parts(x.num, self.of_x()))
-
-
-def _poles_of_x(x, den, over_z):
-    """X's poles from over_z, the poles of den = X(z)/z's denominator.
-
-    The two differ only at the origin, where X's multiplicity is X(z)/z's
-    moved by the z factors the division added and cancelled; an entry that
-    reaches 0 is dropped. The factoring keeps den's exact z factors at the
-    origin, so there is always an origin entry to move.
-    """
-    origin = sum(m for z, m in over_z if z == 0) + x.den.degree - den.degree
-    poles = [(z, m) for z, m in over_z if z != 0]
-    if origin:
-        poles.append((0j, origin))
-    return sorted(poles, key=lambda pm: (pm[0].real, pm[0].imag))
 
 
 def _once(compute):

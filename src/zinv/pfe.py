@@ -363,8 +363,8 @@ def principal_parts(num, poles):
 def complex_pfe_over_z(x, poles):
     """principal_parts of Y(z) = X(z)/z's remainder: {z_k: {j: A_j}}.
 
-    poles is Y's pole list, factor_denominator(_divided_by_z(x)[1]).pole_list();
-    a constant denominator has none, and its table is {}.
+    poles is Y's pole list, OraclePoles.over_z() (X's, of_x(), is the same
+    structure with its origin moved); a constant denominator has none: {}.
     """
     num, den = _divided_by_z(x)
     return principal_parts(num % den, poles)

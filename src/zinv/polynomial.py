@@ -170,32 +170,6 @@ class Polynomial:
             return self
         return Polynomial((0,) * k + self.coeffs)
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_factors(cls, linear=(), quadratic=()):
-        """Expand prod (z-r)**u * prod (z^2 - 2az + (a^2+b^2))**k, a monic polynomial.
-
-        Quadratic factors need b != 0: with b = 0 the quadratic is a squared
-        linear factor and must be supplied as one.
-        """
-        p = ONE
-        for r, u in linear:
-            if u < 1:
-                raise ValueError("multiplicity must be >= 1")
-            f = cls((-r, 1))
-            for _ in range(int(u)):
-                p = p * f
-        for a, b, k in quadratic:
-            if k < 1:
-                raise ValueError("multiplicity must be >= 1")
-            if b == 0:
-                raise ValueError("degenerate quadratic")
-            f = cls((a * a + b * b, -2 * a, 1))
-            for _ in range(int(k)):
-                p = p * f
-        return p
-
     # -- comparisons / display ------------------------------------------
 
     def __eq__(self, other):

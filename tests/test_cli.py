@@ -286,6 +286,22 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "10 cases" in out and "PASS" in out
 
+    def test_fuzz_failures_are_listed(self, monkeypatch, capsys):
+        # every case is one the oracles cannot factor (triple poles 0.01 apart,
+        # as below): each fails, and the text lists at most ten of them
+        case = parse_rational_expr("1/((z-1)^3 (z-1.01)^3)")
+        monkeypatch.setattr(cli, "random_rational", lambda rng: case)
+        assert main(["compare", "--fuzz", "11", "--seed", "42"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "failures: 11" in lines
+        listed = [line for line in lines if line.startswith("  case ")]
+        assert listed[0] == f"  case 0: {case[0]}" and len(listed) == 10
+        assert lines[-1] == "FAIL"
+        assert main(["compare", "--fuzz", "11", "--seed", "42", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert [c["index"] for c in doc["failures"]] == list(range(11))
+
     def test_errored_method_fails(self, capsys):
         # numeric factoring of the expanded triple poles 0.01 apart fails, so
         # moreira, juric and every residue check error; the closed form and

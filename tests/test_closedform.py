@@ -28,6 +28,7 @@ from zinv.closedform import (
     render,
 )
 from zinv.corpus import random_rational
+from zinv.factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from zinv.oracles import compare_methods, longdiv_series
 from zinv.parser import parse_rational_expr
 from zinv.pfe import RationalFunction, _amps, real_pfe
@@ -70,7 +71,7 @@ class TestQuadSeq0:
         assert (vals[4], vals[6], vals[8]) == (1.0, -2.0, 3.0)
 
     def test_matches_longdiv_oracle(self):
-        den = Polynomial.from_factors(quadratic=[(0, 1, 2)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(0, 1, 2),)).expand()
         ref = longdiv_series(RationalFunction(Polynomial([1]), den), 20).values
         assert _pair_table(0.0, 1.0, 0, 1, 2, 20) == pytest.approx(ref, abs=1e-12)
 
@@ -89,7 +90,7 @@ class TestQuadSeq0:
 
     def test_float_pair_against_longdiv(self):
         a, b, k = 0.4, 0.8, 2
-        den = Polynomial.from_factors(quadratic=[(a, b, k)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(a, b, k),)).expand()
         ref = longdiv_series(RationalFunction(Polynomial([1]), den), 30).values
         assert _pair_table(0.0, 1.0, a, b, k, 30) == pytest.approx(ref, abs=1e-10)
 
@@ -130,7 +131,7 @@ class TestRealPoleSeq:
         # long-division oracle on 1/(z-2)^3 gives C(4,2)*2^2 = 24 at n = 5
         got = _real_pole_table(1.0, 2.0, 3, 12)
         assert got[5] == 24.0
-        den = Polynomial.from_factors(linear=[(2, 3)])
+        den = FactoredDenominator(0, (LinearFactor(2, 3),), ()).expand()
         ref = longdiv_series(RationalFunction(Polynomial([1]), den), 12).values
         assert got == pytest.approx(ref, abs=1e-9)
 

@@ -38,7 +38,8 @@ class TestFindRoots:
         assert roots[1] == pytest.approx(1 + 2j)
 
     def test_residuals_small_for_separated_roots(self):
-        p = Polynomial.from_factors(linear=[(0.5, 1), (-1.25, 1), (2, 1)])
+        lins = (LinearFactor(0.5, 1), LinearFactor(-1.25, 1), LinearFactor(2, 1))
+        p = FactoredDenominator(0, lins, ()).expand()
         for z, res in find_roots(p):
             assert res <= 1e-9 * max(1.0, p.norm_inf)
 
@@ -81,6 +82,18 @@ class TestClusterAndPair:
         with pytest.raises(FactorizationError, match="conjugate pairing failed"):
             cluster_and_pair(Polynomial([3 + 1j, -3, 1]), [1 + 1j, 2 - 1j])
 
+    def test_multiplicity_mismatch_raises(self):
+        p = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 2),)).expand()
+        msg = r"^conjugate pairing failed: multiplicity mismatch at \(1\+1j\) \(2 vs 1\)$"
+        with pytest.raises(FactorizationError, match=msg):
+            cluster_and_pair(p, [1 + 1j, 1 + 1j, 1 - 1j])
+
+    def test_unpaired_lower_half_root_raises(self):
+        p = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 1),)).expand()
+        with pytest.raises(FactorizationError) as exc:
+            cluster_and_pair(p, [1 - 1j])
+        assert str(exc.value) == "conjugate pairing failed: unpaired root (1-1j)"
+
     def test_centroids_add_left_to_right_on_every_python(self, monkeypatch, compensated_sum):
         # the structure must not hang on how the running Python's sum() rounds
         dens = [
@@ -97,7 +110,7 @@ class TestClusterAndPair:
         for _ in range(50):
             a = rng.uniform(-1.5, 1.5)
             b = rng.uniform(0.1, 1.5)
-            p = Polynomial.from_factors(quadratic=[(a, b, 1)])
+            p = FactoredDenominator(0, (), (QuadraticFactor(a, b, 1),)).expand()
             f = cluster_and_pair(p, [complex(a, b), complex(a, -b)])
             assert all(q.b > 0 for q in f.quadratics)
 
@@ -111,7 +124,7 @@ class TestFactorDenominator:
         assert f.expand() == Polynomial([1, 0, 1])
 
     def test_repeated_quadratic_roundtrip(self):
-        src = Polynomial.from_factors(quadratic=[(1, 2, 3)])
+        src = FactoredDenominator(0, (), (QuadraticFactor(1, 2, 3),)).expand()
         f = factor_denominator(src)
         (q,) = f.quadratics
         assert q.k == 3
@@ -156,17 +169,18 @@ class TestFactorDenominator:
         assert f.linears[0].r == pytest.approx(2.0, abs=1e-8)
 
     def test_close_distinct_roots_not_merged(self):
-        p = Polynomial.from_factors(linear=[(1.0, 1), (1.0001, 1)])
+        p = FactoredDenominator(0, (LinearFactor(1.0, 1), LinearFactor(1.0001, 1)), ()).expand()
         f = factor_denominator(p)
         assert sorted(lf.u for lf in f.linears) == [1, 1]
 
     def test_double_real_root_not_mistaken_for_pair(self):
         # eigenvalues of a double real root scatter into a conjugate pair with
         # tiny imaginary part; the recovered shape must still be (z-r)^2
-        p = Polynomial.from_factors(
-            linear=[(0.8067629849820397, 2), (1.1112532634273389, 2)],
-            quadratic=[(0.9658422762864873, 0.6852045899044704, 2)],
-        )
+        p = FactoredDenominator(
+            0,
+            (LinearFactor(0.8067629849820397, 2), LinearFactor(1.1112532634273389, 2)),
+            (QuadraticFactor(0.9658422762864873, 0.6852045899044704, 2),),
+        ).expand()
         f = factor_denominator(p)
         assert sorted(lf.u for lf in f.linears) == [2, 2]
         assert [q.k for q in f.quadratics] == [2]
@@ -235,7 +249,7 @@ class TestRoundTrip:
                 assert abs(complex(got.a, got.b) - complex(want.a, want.b)) <= 1e-6
 
     def test_simple_root_recovery_tight(self):
-        # poly_from_factors then find_roots: well-separated roots within 1e-8
+        # expand then find_roots: well-separated roots within 1e-8
         rng = random.Random(5)
         for _ in range(40):
             spots = []
@@ -243,7 +257,7 @@ class TestRoundTrip:
                 r = rng.choice((-1, 1)) * rng.uniform(0.5, 2.0)
                 if all(abs(r - s) >= 0.3 for s in spots):
                     spots.append(r)
-            p = Polynomial.from_factors(linear=[(r, 1) for r in spots])
+            p = FactoredDenominator(0, tuple(LinearFactor(r, 1) for r in spots), ()).expand()
             got = sorted(z.real for z, _ in find_roots(p))
             for g, w in zip(got, sorted(spots)):
                 assert abs(g - w) <= 1e-8
@@ -264,11 +278,12 @@ class TestRoundTrip:
 
 class TestPoleMultiplicities:
     def test_conjugate_closed(self):
-        poles = factor_denominator(Polynomial.from_factors(quadratic=[(1, 1, 2)])).pole_list()
+        p = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 2),)).expand()
+        poles = factor_denominator(p).pole_list()
         assert poles == [(1 - 1j, 2), (1 + 1j, 2)]
 
     def test_origin_and_real(self):
-        p = Polynomial.from_factors(linear=[(0, 2), (1.5, 1)])
+        p = FactoredDenominator(2, (LinearFactor(1.5, 1),), ()).expand()
         poles = factor_denominator(p).pole_list()
         assert (0j, 2) in poles
         assert any(abs(z - 1.5) < 1e-9 and m == 1 for z, m in poles)
@@ -276,15 +291,15 @@ class TestPoleMultiplicities:
 
 def _factoring_corpus():
     rng = random.Random(11)
-    dens = [Polynomial.from_factors(linear=[(0.5, k)]) for k in range(1, 12)]
-    dens.append(Polynomial.from_factors(linear=[(1.3, 8)]))
+    dens = [FactoredDenominator(0, (LinearFactor(0.5, k),), ()).expand() for k in range(1, 12)]
+    dens.append(FactoredDenominator(0, (LinearFactor(1.3, 8),), ()).expand())
     for pairs in (4, 6):  # expanded degree-16 and degree-24 double pairs
         for _ in range(3):
             quads = []
             for _ in range(pairs):
                 r, t = rng.uniform(0.3, 1.2), rng.uniform(0.2, 2.9)
-                quads.append((r * math.cos(t), r * math.sin(t), 2))
-            dens.append(Polynomial.from_factors(quadratic=quads))
+                quads.append(QuadraticFactor(r * math.cos(t), r * math.sin(t), 2))
+            dens.append(FactoredDenominator(0, (), tuple(quads)).expand())
     for _ in range(100):  # D and z*D of default-fuzz cases
         x, _ = random_rational(rng)
         dens += [x.den, x.den.shift(1)]
@@ -297,7 +312,7 @@ class TestRecoveryMessage:
     def test_residual_test_rejection_says_so(self, monkeypatch):
         monkeypatch.setattr(factorize, "_structure_ok", lambda d, f: False)
         with pytest.raises(FactorizationError) as exc:
-            factor_denominator(Polynomial.from_factors(linear=[(0.5, 2)]))
+            factor_denominator(FactoredDenominator(0, (LinearFactor(0.5, 2),), ()).expand())
         msg = str(exc.value)
         head = "factor recovery failed: a candidate re-expands to relative error "
         tail = " but fails the multiple-root residual test"
@@ -308,10 +323,19 @@ class TestRecoveryMessage:
         # two triple roots 0.01 apart: rounding of the expanded coefficients
         # splits them into roots that neither cluster nor re-expand
         with pytest.raises(FactorizationError) as exc:
-            factor_denominator(Polynomial.from_factors(linear=[(1.0, 3), (1.01, 3)]))
+            lins = (LinearFactor(1.0, 3), LinearFactor(1.01, 3))
+            factor_denominator(FactoredDenominator(0, lins, ()).expand())
         head = "factor recovery failed: best relative expansion error "
         assert str(exc.value).startswith(head)
         assert float(str(exc.value)[len(head) :]) > factorize.EXPAND_RTOL
+
+    def test_close_roots_are_no_double_root(self):
+        # the two roots merged into a double root at 1.0005 leave
+        # |d(1.0005)| = 2.5e-7, far above evaluation noise
+        d = FactoredDenominator(0, (LinearFactor(1, 1), LinearFactor(1.001, 1)), ()).expand()
+        merged = FactoredDenominator(0, (LinearFactor(1.0005, 2),), ())
+        assert not factorize._is_m_fold_root(d, 1.0005, 2)
+        assert not factorize._structure_ok(d, merged)
 
     def test_pairing_failure_keeps_its_message(self, monkeypatch):
         # roots that cannot pair: cluster_and_pair's error, not an expansion error
@@ -332,7 +356,7 @@ class TestMultiplicitySweep:
     @pytest.mark.parametrize("r", [s * i / 10 for i in range(1, 21) for s in (1, -1)])
     def test_real_pole_powers(self, r):
         for k in range(1, 12):
-            f = factor_denominator(Polynomial.from_factors(linear=[(r, k)]))
+            f = factor_denominator(FactoredDenominator(0, (LinearFactor(r, k),), ()).expand())
             assert f.origin_mult == 0 and f.quadratics == (), k
             (lf,) = f.linears
             assert lf.u == k and abs(lf.r - r) <= 1e-6, k
@@ -341,7 +365,8 @@ class TestMultiplicitySweep:
     @pytest.mark.parametrize("b", [0.3, 0.7, 1, 1.4])
     def test_quadratic_powers(self, a, b):
         for k in range(1, 7):
-            f = factor_denominator(Polynomial.from_factors(quadratic=[(a, b, k)]))
+            p = FactoredDenominator(0, (), (QuadraticFactor(a, b, k),)).expand()
+            f = factor_denominator(p)
             assert f.origin_mult == 0 and f.linears == (), k
             (q,) = f.quadratics
             assert q.k == k and abs(complex(q.a - a, q.b - b)) <= 1e-6, k

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from zinv import corpus, oracles, pfe
+from zinv.cli import main
 from zinv.closedform import SequenceTable, eval_sequence, invert
 from zinv.corpus import random_rational
 from zinv.errors import FactorizationError
-from zinv.factorize import factor_denominator
+from zinv.factorize import FactoredDenominator, LinearFactor, QuadraticFactor, factor_denominator
 from zinv.oracles import (
     OraclePoles,
     compare_methods,
@@ -35,7 +36,7 @@ class TestLongDivision:
         assert got == (0, 0, 1, 0, -1, 0, 1, 0, -1)
 
     def test_squared_quadratic(self):
-        den = Polynomial.from_factors(quadratic=[(0, 1, 2)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(0, 1, 2),)).expand()
         got = longdiv_series(RationalFunction(Polynomial([1]), den), 8).values
         assert got == (0, 0, 0, 0, 1, 0, -2, 0, 3)
 
@@ -47,6 +48,15 @@ class TestLongDivision:
             x, f = parse_rational_expr(text)
             want = eval_sequence(invert(x, factored=f), 60).values
             assert longdiv_series(x, 60).values == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_overflow_inside_the_recurrence_is_reported(self, capsys):
+        # x[3] = 0.5 + 10^320: the float 0.5 plus an int beyond the float range
+        # raises inside the recurrence, and the CLI names the method and index
+        text = f"({10**120}*z^2+0.5)/(z^3-{10**200}*z)"
+        with pytest.raises(OverflowError, match=r"^longdiv sequence overflows a float at n=3$"):
+            longdiv_series(parse_rational_expr(text)[0], 4)
+        assert main(["table", text, "--method", "longdiv", "--n", "4"]) == 1
+        assert capsys.readouterr().err == "error: longdiv sequence overflows a float at n=3\n"
 
     def test_zero_prefix_exact(self):
         rng = random.Random(42)
@@ -76,7 +86,7 @@ class TestMoreira:
 
     def test_multiple_real_pole_row(self):
         # 1/(z-2)^3 through the divide-by-z route must match long division
-        den = Polynomial.from_factors(linear=[(2, 3)])
+        den = FactoredDenominator(0, (LinearFactor(2, 3),), ()).expand()
         x = RationalFunction(Polynomial([1]), den)
         ld = longdiv_series(x, 15).values
         got = moreira_series(x, 15).values
@@ -206,7 +216,7 @@ class TestResidue:
         assert residue_value(rf([1], [-3, 1]), 4) == pytest.approx(27.0, abs=1e-10)
 
     def test_multiplicity_two_pair(self):
-        den = Polynomial.from_factors(quadratic=[(0, 1, 2)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(0, 1, 2),)).expand()
         x = RationalFunction(Polynomial([1]), den)
         assert residue_value(x, 4) == pytest.approx(1.0, abs=1e-10)
         assert residue_value(x, 6) == pytest.approx(-2.0, abs=1e-10)
@@ -249,7 +259,7 @@ class TestCompareMethods:
         assert report.worst_pair_deviation() <= 1e-10
 
     def test_growing_pair_instance(self):
-        den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 3),)).expand()
         x = RationalFunction(Polynomial([3, 2]), den)
         report = compare_methods(x, n_max=40, tol=1e-7)
         assert report.passed

@@ -86,7 +86,7 @@ class TestFactoredExtraction:
         text = "1/((z-1)^2*(z^2+z+1))"
         x, f = parse_rational_expr(text)
         e = f.expand()
-        den_raw = Polynomial.from_factors(linear=[(1, 2)]) * Polynomial([1, 1, 1])
+        den_raw = FactoredDenominator(0, (LinearFactor(1, 2),), ()).expand() * Polynomial([1, 1, 1])
         assert all(
             abs(e.coeff(i) - den_raw.coeff(i)) <= 1e-12 for i in range(e.degree + 1)
         )
@@ -118,6 +118,7 @@ class TestFactoredExtraction:
             ("1/(z*(z-1))^2", "1/(z^2*(z-1)^2)"),
             ("1/((z-1)^2*(z+2))^2", "1/((z-1)^4*(z+2)^2)"),
             ("1/(-2*(z^2+z+1)*(z-3))^3", "1/(-8*(z^2+z+1)^3*(z-3)^3)"),
+            ("1/((1-z)*(z+2))^2", "1/((z-1)^2*(z+2)^2)"),
         ],
     )
     def test_power_of_a_product_powers_each_multiplicand(self, text, flat):
@@ -145,6 +146,12 @@ class TestFactoredExtraction:
     def test_cubic_factor_falls_back(self):
         _, f = parse_rational_expr("1/(z^3+2*z+5)")
         assert f is None
+
+    def test_linear_factor_led_by_minus_one_keeps_an_int_root(self):
+        # 1 - z is -(z - 1): r is read off c0 with no division to make it a float
+        _, f = parse_rational_expr("1/(1-z)^2")
+        (lf,) = f.linears
+        assert lf == LinearFactor(1, 2) and type(lf.r) is int
 
     def test_negated_denominator(self):
         x, f = parse_rational_expr("1/(-(z-2))")

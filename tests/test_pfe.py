@@ -114,7 +114,7 @@ class TestRealPfe:
     def test_linear_times_quadratic(self):
         # 1/((z-1)(z^2+1)): A = 1/2 on the pole, (-z/2 - 1/2) on the pair;
         # frozen from recombining over the common denominator by hand
-        den = Polynomial.from_factors(linear=[(1, 1)], quadratic=[(0, 1, 1)])
+        den = FactoredDenominator(0, (LinearFactor(1, 1),), (QuadraticFactor(0, 1, 1),)).expand()
         x = RationalFunction(Polynomial([1]), den)
         f = FactoredDenominator(0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),))
         pf = real_pfe(x, f)
@@ -140,7 +140,7 @@ class TestRealPfe:
         assert pf.warnings == ("non-causal polynomial part: delta[n+k] terms vanish for n >= 0",)
 
     def test_repeated_pair_structure_exact(self):
-        den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 3),)).expand()
         x = RationalFunction(Polynomial([3, 2]), den)
         f = FactoredDenominator(0, (), (QuadraticFactor(1.0, 1.0, 3),))
         pf = real_pfe(x, f)
@@ -251,7 +251,7 @@ class TestComplexPfeOverZ:
 
     def test_origin_coefficient_of_multiple_pair(self):
         # (2z+3)/((z^2-2z+2)^3): coefficient at the origin of Y is 3/r^6 = 3/8
-        den = Polynomial.from_factors(quadratic=[(1, 1, 3)])
+        den = FactoredDenominator(0, (), (QuadraticFactor(1, 1, 3),)).expand()
         table = table_over_z(RationalFunction(Polynomial([3, 2]), den))
         assert table[0j][1] == pytest.approx(0.375, abs=1e-12)
 
@@ -334,7 +334,7 @@ class TestRecombine:
         assert back.den == Polynomial([1])
 
     def test_hand_checked_expansion(self):
-        den = Polynomial.from_factors(linear=[(1, 1)], quadratic=[(0, 1, 1)])
+        den = FactoredDenominator(0, (LinearFactor(1, 1),), (QuadraticFactor(0, 1, 1),)).expand()
         x = RationalFunction(Polynomial([1]), den)
         f = FactoredDenominator(0, (LinearFactor(1.0, 1),), (QuadraticFactor(0.0, 1.0, 1),))
         back = recombine(real_pfe(x, f))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from zinv.factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from zinv.polynomial import Polynomial
 
 
@@ -94,23 +95,27 @@ class TestEval:
 
 
 class TestFromFactors:
+    """FactoredDenominator.expand builds the product; the factors check their fields."""
+
     def test_linear_cube(self):
-        p = Polynomial.from_factors(linear=[(2, 3)])
+        p = FactoredDenominator(0, (LinearFactor(2, 3),), ()).expand()
         assert p == Polynomial([-8, 12, -6, 1])
 
     def test_unit_quadratic(self):
-        assert Polynomial.from_factors(quadratic=[(0, 1, 1)]) == Polynomial([1, 0, 1])
+        p = FactoredDenominator(0, (), (QuadraticFactor(0, 1, 1),)).expand()
+        assert p == Polynomial([1, 0, 1])
 
     def test_general_quadratic(self):
-        assert Polynomial.from_factors(quadratic=[(1, 2, 1)]) == Polynomial([5, -2, 1])
+        p = FactoredDenominator(0, (), (QuadraticFactor(1, 2, 1),)).expand()
+        assert p == Polynomial([5, -2, 1])
 
     def test_degenerate_quadratic_rejected(self):
-        with pytest.raises(ValueError, match="degenerate quadratic"):
-            Polynomial.from_factors(quadratic=[(1, 0, 1)])
+        with pytest.raises(ValueError, match="quadratic factor requires b > 0"):
+            QuadraticFactor(1, 0, 1)
 
     def test_bad_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            Polynomial.from_factors(linear=[(2, 0)])
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            LinearFactor(2, 0)
 
 
 class TestHousekeeping:
