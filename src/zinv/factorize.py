@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FactorizationError, RootFindingError
 from .polynomial import ONE, Polynomial
 
@@ -110,6 +108,8 @@ def find_roots(p):
         n_origin += 1
     roots = [0j] * n_origin
     if len(coeffs) > 1:
+        import numpy as np  # numeric factoring is numpy's one use: factored input never loads it
+
         raw = np.roots(np.array(coeffs[::-1]))
         stripped = Polynomial(coeffs)
         ds = stripped.derivative()

@@ -10,73 +10,86 @@ Grammar (EBNF, whitespace insignificant, implicit multiplication allowed):
     atom      = NUMBER | "z" | "(" expr ")" ;
 
 Exponents must be non-negative integer literals, and division may appear only
-once, outside any parentheses; without it the denominator is 1. One recursive
-descent reads the tokens in order, so an error names the first token that the
-grammar cannot take, and it evaluates as it parses: each rule yields its
+once, outside any parentheses; without it the denominator is 1. One regex
+scan splits the text into token kinds and values, and one recursive descent
+reads them in order by index, so an error names the first token that the
+grammar cannot take; token positions are found, by a second scan, only to
+report an error. The descent evaluates as it parses: each rule yields its
 polynomial together with the multiplicands it folded into it. When the
 denominator is a product of powers of linear or irreducible quadratic
-polynomials, its exact factor structure is read off those multiplicands, so
-that inversion can bypass numeric root finding; any other denominator, one
-with a reducible quadratic or a cubic multiplicand say, is left to numeric
-factoring.
+polynomials, its exact factor structure is read off those multiplicands (less
+the powers that the numerator cancels), so that inversion can bypass numeric
+root finding; any other denominator, one with a reducible quadratic or a
+cubic multiplicand say, is left to numeric factoring.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
-from collections import namedtuple
+from fractions import Fraction
 
 from .errors import ParseError
 from .factorize import FactoredDenominator, LinearFactor, QuadraticFactor
 from .pfe import RationalFunction
 from .polynomial import ONE, Z, Polynomial
 
+# leading whitespace folds into each token; "bad" takes any other non-space
+# character. Trailing whitespace matches nothing, and a scan of it would retry
+# at each of its positions, so callers scan text.rstrip() (the same whitespace).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z]+)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
+    \s*(?:
+      (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z]+)
+    | (?P<op>[-+*/^()])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-# kind: "number" | "z" | one of + - * / ^ ( ) | "end"
-Token = namedtuple("Token", "kind value pos")
-
-
-def _error(text, pos, message, expected=()):
+def _error(text, i, message, expected=()):
+    """A ParseError at the i-th token, or at len(text) for the end token.
+    Positions are found only here, by rescanning: the i-th match of the same
+    pattern."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text.rstrip()), i, None), None)
+    pos = len(text) if m is None else m.start(m.lastgroup)
     line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
     return ParseError(message, line=line, column=col, expected=expected)
 
 
 def tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind == "number":
-            s = m.group()
+    """The token kinds and values, as two lists that end with the kind "end".
+
+    kind: "number" | "z" | one of + - * / ^ ( ) | "end"; the value is the
+    number (an int, or a float for a literal with "." or an exponent), "z",
+    the operator, or None at the end.
+    """
+    kinds, values = [], []
+    for number, name, op, bad in _TOKEN_RE.findall(text.rstrip()):
+        if op:
+            kinds.append(op)
+            values.append(op)
+        elif number:
+            kinds.append("number")
             # the number pattern leaves only "." and an exponent to tell a float
-            value = float(s) if "." in s or "e" in s or "E" in s else int(s)
-            tokens.append(Token("number", value, m.start()))
-        elif kind == "name":
-            if m.group() != "z":
-                raise _error(
-                    text, m.start(), f"only variable 'z' is allowed, got {m.group()!r}"
-                )
-            tokens.append(Token("z", "z", m.start()))
+            values.append(
+                float(number) if "." in number or "e" in number or "E" in number else int(number)
+            )
+        elif name == "z":
+            kinds.append("z")
+            values.append("z")
+        elif name:
+            raise _error(text, len(kinds), f"only variable 'z' is allowed, got {name!r}")
         else:
-            tokens.append(Token(m.group(), m.group(), m.start()))
-    tokens.append(Token("end", None, len(text)))
-    return tokens
+            raise _error(text, len(kinds), f"unexpected character {bad!r}")
+    kinds.append("end")
+    values.append(None)
+    return kinds, values
 
 
 _ATOM_START = ("number", "z", "(")
@@ -84,7 +97,8 @@ _MINUS_ONE = (Polynomial((-1,)), 1)
 
 
 class _Parser:
-    """Recursive descent that evaluates while it parses.
+    """Recursive descent that evaluates while it parses, reading kinds[i] and
+    values[i] at the current token index i.
 
     Every rule returns (value, factors): the polynomial it denotes, and the
     multiplicands whose product it is, each (base, exp). A product
@@ -93,47 +107,47 @@ class _Parser:
     a sum is one factor.
     """
 
-    def __init__(self, text, tokens):
+    def __init__(self, text, kinds, values):
         self.text = text
-        self.tokens = tokens
+        self.kinds = kinds
+        self.values = values
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def fail(self, message, expected=()):
-        raise _error(self.text, self.peek().pos, message, expected)
+        raise _error(self.text, self.i, message, expected)
 
     def parse(self):
         """rational = expr [ "/" expr ], then the end of input: the numerator,
-        the "/" token or None, and the denominator and its multiplicands."""
-        if self.peek().kind == "/":
+        the index of the "/" token or None, and the denominator and its
+        multiplicands."""
+        kinds = self.kinds
+        if kinds[self.i] == "/":
             self.fail("missing numerator before '/'")
         num = self.expr()[0]
         slash, den, den_factors = None, ONE, []
-        if self.peek().kind == "/":
-            slash = self.next()
-            if self.peek().kind == "end":
+        if kinds[self.i] == "/":
+            slash = self.i
+            self.i += 1
+            if kinds[self.i] == "end":
                 self.fail("missing denominator after '/'")
             den, den_factors = self.expr()
-        tok = self.peek()
-        if tok.kind == "/":
+        kind = kinds[self.i]
+        if kind == "/":
             self.fail("more than one top-level '/'")
-        if tok.kind == ")":
+        if kind == ")":
             self.fail("unbalanced ')'")
-        if tok.kind != "end":
-            self.fail(f"unexpected token {tok.value!r}", expected=("operator", "end of input"))
+        if kind != "end":
+            self.fail(
+                f"unexpected token {self.values[self.i]!r}", expected=("operator", "end of input")
+            )
         return num, slash, den, den_factors
 
     def expr(self):
         value, factors = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        kinds = self.kinds
+        while kinds[self.i] in ("+", "-"):
+            op = kinds[self.i]
+            self.i += 1
             rhs = self.term()[0]
             value = value + rhs if op == "+" else value - rhs
             factors = [(value, 1)]
@@ -141,63 +155,66 @@ class _Parser:
 
     def term(self):
         value, factors = self.unary()
+        kinds = self.kinds
         while True:
-            kind = self.peek().kind
+            kind = kinds[self.i]
             if kind == "*":
-                self.next()
+                self.i += 1
             elif kind not in _ATOM_START:  # an atom here multiplies implicitly, e.g. "2z"
                 return value, factors
             rhs, more = self.unary()
             value, factors = value * rhs, factors + more
 
     def unary(self):
-        if self.peek().kind != "-":
+        if self.kinds[self.i] != "-":
             return self.power()
-        self.next()
+        self.i += 1
         value, factors = self.unary()
         return -value, [_MINUS_ONE, *factors]
 
     def power(self):
         base, factors = self.atom()
-        if self.peek().kind != "^":
+        kinds = self.kinds
+        if kinds[self.i] != "^":
             return base, factors
-        self.next()
-        tok = self.peek()
-        if tok.kind == "-":
-            raise _error(self.text, tok.pos, "negative exponent is not allowed")
-        if tok.kind != "number":
+        self.i += 1
+        kind, k = kinds[self.i], self.values[self.i]
+        if kind == "-":
+            self.fail("negative exponent is not allowed")
+        if kind != "number":
             self.fail("exponent must be an integer literal", expected=("INTEGER",))
-        if not isinstance(tok.value, int):
-            raise _error(self.text, tok.pos, "non-integer exponent is not allowed")
-        self.next()
-        k = tok.value
+        if not isinstance(k, int):
+            self.fail("non-integer exponent is not allowed")
+        self.i += 1
         # z^k directly: the repeated product gives exactly these ints
         value = Polynomial((0,) * k + (1,)) if base is Z else base**k
         # (A*B)^k is A^k*B^k: each multiplicand keeps its base
         return value, [(b, e * k) for b, e in factors]
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            value = Polynomial((tok.value,))
-        elif tok.kind == "z":
-            self.next()
+        kind = self.kinds[self.i]
+        if kind == "number":
+            value = Polynomial((self.values[self.i],))
+            self.i += 1
+        elif kind == "z":
+            self.i += 1
             value = Z
-        elif tok.kind == "(":
-            self.next()
+        elif kind == "(":
+            self.i += 1
             value, factors = self.expr()
-            if self.peek().kind == "/":
+            if self.kinds[self.i] == "/":
                 self.fail(
                     "division must appear once at the top level (write the expression as NUM/DEN)"
                 )
-            if self.peek().kind != ")":
+            if self.kinds[self.i] != ")":
                 self.fail("missing closing parenthesis", expected=(")",))
-            self.next()
+            self.i += 1
             return value, factors
         else:
             self.fail(
-                f"unexpected token {tok.value!r}" if tok.kind != "end" else "unexpected end of input",
+                f"unexpected token {self.values[self.i]!r}"
+                if kind != "end"
+                else "unexpected end of input",
                 expected=("NUMBER", "'z'", "'('", "'-'"),
             )
         return value, [(value, 1)]
@@ -269,19 +286,39 @@ def _extract_factored(factors):
 def parse_rational_expr(text):
     """Parse text into a rational function and its denominator's exact factor
     structure: the empty one for a constant denominator (1 without "/"), and
-    None when the denominator is left to numeric factoring."""
-    tokens = tokenize(text)
-    if len(tokens) == 1:
-        raise _error(text, 0, "empty expression", expected=("NUMBER", "'z'", "'('"))
-    num, slash, den, den_factors = _Parser(text, tokens).parse()
+    None when the denominator is left to numeric factoring. When the numerator
+    cancels written factors, the structure is read off the factors that remain."""
+    kinds, values = tokenize(text)
+    if len(kinds) == 1:
+        raise ParseError("empty expression", line=1, column=1, expected=("NUMBER", "'z'", "'('"))
+    num, slash, den, den_factors = _Parser(text, kinds, values).parse()
     if den.is_zero:
-        raise _error(text, slash.pos, "denominator is identically zero")
+        raise _error(text, slash, "denominator is identically zero")
     factored = _extract_factored(den_factors)
     x = RationalFunction(num, den)
-    # x.den is shorter than den when the numerator cancelled a factor: numeric factoring
-    if factored is not None and not factored.degree == x.den.degree == den.degree:
+    if x.den.degree < den.degree:  # the numerator cancelled a factor
+        factored = _extract_factored(_cancelled(num, den_factors))
+    if factored is not None and factored.degree != x.den.degree:
         factored = None
     return x, factored
+
+
+def _cancelled(num, factors):
+    """The multiplicands with each exponent lowered by the number of times,
+    up to that exponent, its base divides what is left of num exactly (over
+    the rationals, taking the bases in turn)."""
+    rest = Polynomial([Fraction(c) for c in num.coeffs])
+    out = []
+    for base, exp in factors:
+        if base.degree > 0:
+            b = Polynomial([Fraction(c) for c in base.coeffs])
+            while exp:
+                q, r = divmod(rest, b)
+                if not r.is_zero:
+                    break
+                rest, exp = q, exp - 1
+        out.append((base, exp))
+    return out
 
 
 def batch_expressions(text):

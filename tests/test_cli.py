@@ -36,6 +36,13 @@ class TestInvert:
         assert "quad_pole" in kinds
         assert any("non-causal" in w for w in doc["warnings"])
 
+    def test_cancelled_written_factor_keeps_exact_poles(self, capsys):
+        # 2z-1 cancels one power of the written (z-0.5)^2; the rest stays exact
+        assert main(["invert", "(2z-1)/((z-0.5)^2 (z^2-z+0.5))", "--format", "json"]) == 0
+        real, quad = json.loads(capsys.readouterr().out)["terms"]
+        assert (real["pole"], real["amp"], real["mult"]) == (0.5, 8.0, 1)
+        assert (quad["a"], quad["b"], quad["z_amp"], quad["const_amp"]) == (0.5, 0.5, -8.0, 4.0)
+
     def test_parse_error_exit_2(self, capsys):
         assert main(["invert", "1/(q^2+1)"]) == 2
         assert "error:" in capsys.readouterr().err

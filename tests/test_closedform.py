@@ -276,21 +276,26 @@ class TestTermsFromRealPfe:
         assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
 
     @pytest.mark.parametrize(
-        "text, num, den",
+        "text, num, den, factored",
         [
             # z^2-10 divides both, and no float is a root of it
-            ("(z^2-10)/(z^3-0.5*z^2-10*z+5)", [-10, 0, 1], [5, -10, -0.5, 1]),
-            # written factored: z^2+10 becomes the pair 0 +/- i*sqrt(10), rounded
-            ("(z^2+10)/((z^2+10)*(z-0.5))", [10, 0, 1], [-5, 10, -0.5, 1]),
+            ("(z^2-10)/(z^3-0.5*z^2-10*z+5)", [-10, 0, 1], [5, -10, -0.5, 1], None),
+            # written factored: z^2+10 cancels, and the written z-0.5 is kept
+            (
+                "(z^2+10)/((z^2+10)*(z-0.5))",
+                [10, 0, 1],
+                [-5, 10, -0.5, 1],
+                FactoredDenominator(0, (LinearFactor(0.5, 1),), ()),
+            ),
             # z(z^2-2)/(z^2-2)^2: one power of z^2-2 cancels
-            ("(z^3-2*z)/(z^4-4*z^2+4)", [0, -2, 0, 1], [4, 0, -4, 0, 1]),
+            ("(z^3-2*z)/(z^4-4*z^2+4)", [0, -2, 0, 1], [4, 0, -4, 0, 1], None),
         ],
     )
-    def test_common_factor_leaves_no_term(self, text, num, den):
+    def test_common_factor_leaves_no_term(self, text, num, den, factored):
         # a shared root found only to rounding would leave a ~1e-16 amplitude
         # at a pole of modulus above 1; the exact cancellation leaves none
         x, f = parse_rational_expr(text)
-        assert x.den.degree < len(den) - 1 and f is None
+        assert x.den.degree < len(den) - 1 and f == factored
         got = eval_sequence(invert(x, factored=f), 60).values
         want = _exact_series(SimpleNamespace(num=Polynomial(num), den=Polynomial(den)), 60)
         scale = max(1.0, *map(abs, want))
