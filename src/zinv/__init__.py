@@ -22,7 +22,6 @@ from .errors import (
     ConjugateSymmetryError,
     FactorizationError,
     ParseError,
-    RootFindingError,
     ZinvError,
 )
 from .factorize import (
@@ -72,7 +71,6 @@ __all__ = [
     "QuadraticFactor",
     "RationalFunction",
     "RealPole",
-    "RootFindingError",
     "SequenceTable",
     "ZinvError",
     "batch_expressions",

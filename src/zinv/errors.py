@@ -21,10 +21,6 @@ class ParseError(ZinvError):
         super().__init__(f"{message}{loc}{hint}")
 
 
-class RootFindingError(ZinvError):
-    """Root refinement failed to converge; the message names the worst root."""
-
-
 class FactorizationError(ZinvError):
     """A factor structure could not be recovered or does not match its source."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FactorizationError, RootFindingError
+from .errors import FactorizationError
 from .polynomial import ONE, Polynomial
 
 DEFAULT_TOL_REAL = 1e-8
@@ -89,42 +89,24 @@ class FactoredDenominator:
 
 
 def find_roots(p):
-    """All complex roots of p (with repetition), Newton-polished.
+    """All complex roots of p (with repetition), sorted by real then imaginary part.
 
-    Returns a list of (root, residual) with residual = |p(root)|, sorted by
-    real then imaginary part; a nonzero constant has none, and the zero
-    polynomial raises ValueError. Structural roots at the origin (exact zero
-    low-order coefficients) are returned exactly. Raises RootFindingError if
-    polishing leaves a root z with residual above max(1e-6, 1e7 * noise),
-    noise being the rounding of p(z) (_eval_noise): a root far from the
-    origin may leave a large residual that is still only rounding.
+    Structural roots at the origin (exact zero low-order coefficients) are
+    returned exactly, as 0j; the rest are numpy's companion-matrix eigenvalues
+    of what is left, unrefined (factor_denominator polishes each distinct
+    root once). A nonzero constant has none, and the zero polynomial raises
+    ValueError.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no roots")
-    coeffs = list(p.coeffs)
-    n_origin = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        n_origin += 1
+    n_origin = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    coeffs = p.coeffs[n_origin:]
     roots = [0j] * n_origin
     if len(coeffs) > 1:
         import numpy as np  # numeric factoring is numpy's one use: factored input never loads it
 
-        raw = np.roots(np.array(coeffs[::-1]))
-        stripped = Polynomial(coeffs)
-        ds = stripped.derivative()
-        tiny = 1e-15 * max(1.0, stripped.norm_inf)
-        roots.extend(_newton(stripped, ds, complex(z0), iters=30, stop=tiny) for z0 in raw)
-    out = sorted(
-        ((z, abs(p(z))) for z in roots), key=lambda zr: (zr[0].real, zr[0].imag)
-    )
-    bad = [(res, z) for z, res in out if res > max(1e-6, 1e7 * _eval_noise(p, z))]
-    if bad:
-        res, z = max(bad, key=lambda rz: rz[0])
-        raise RootFindingError(
-            f"root refinement did not converge: residual {res:.3g} at {z}"
-        )
-    return out
+        roots.extend(map(complex, np.roots(np.array(coeffs[::-1]))))
+    return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 def _scatter_radius(p, c, m):
@@ -167,11 +149,12 @@ def _cluster(p, roots):
 def cluster_and_pair(p, roots):
     """Group the raw roots of p into origin / real / conjugate-pair factors.
 
-    Roots of one multiple root merge with summed multiplicity (_cluster);
-    near-real locations snap to the axis, near-zero ones to the origin; the
-    rest must pair with their conjugates (b > 0 kept), or FactorizationError
-    names the unpaired root or the multiplicity mismatch. No roots give the
-    empty structure.
+    Roots of one multiple root merge with summed multiplicity (_cluster).
+    Only exact zeros (find_roots' structural origin roots) go to the origin;
+    a location near the real axis, and nearer it than the imaginary axis,
+    snaps to it; the rest must pair with their conjugates (b > 0 kept), or
+    FactorizationError names the unpaired root or the multiplicity mismatch.
+    No roots give the empty structure.
     """
     roots = [complex(z) for z in roots]
     scale = max([1.0, *map(abs, roots)])
@@ -181,9 +164,9 @@ def cluster_and_pair(p, roots):
     upper = []
     lower = []
     for z, m in _cluster(p, roots):
-        if abs(z) <= DEFAULT_TOL_REAL:
+        if z == 0:
             origin += m
-        elif abs(z.imag) <= DEFAULT_TOL_REAL * (1 + abs(z)):
+        elif abs(z.imag) <= DEFAULT_TOL_REAL * (1 + abs(z)) and abs(z.imag) < abs(z.real):
             reals.append(LinearFactor(z.real, m))
         elif z.imag > 0:
             upper.append((z, m))
@@ -216,9 +199,10 @@ def cluster_and_pair(p, roots):
     )
 
 
-def _newton(p, dp, z, iters=40, stop=0.0):
+def _newton(p, dp, z, stop=0.0):
     """Newton refinement of z on p (dp its derivative) tracking the lowest-residual
-    iterate; stops once it is <= stop, or at an iterate already visited.
+    iterate; stops once it is <= stop, at an iterate already visited, or after
+    40 steps.
 
     p(z) is evaluated once per iterate: the residual's value is the next step's.
     The step is a function of z alone: once an iterate repeats, the later
@@ -227,7 +211,7 @@ def _newton(p, dp, z, iters=40, stop=0.0):
     pz = p(z)
     best, best_res = z, abs(pz)
     seen = {z}
-    for _ in range(iters):
+    for _ in range(40):
         if best_res <= stop:
             break
         d = dp(z)
@@ -245,24 +229,29 @@ def _newton(p, dp, z, iters=40, stop=0.0):
 
 
 def _polish(d, skel):
-    """Refine repeated factor locations on the matching derivative of d.
+    """Refine each factor location once, on the matching derivative of d.
 
     An m-fold root of d is a simple root of d^(m-1), where Newton converges
-    quadratically; multiplicity-1 locations were already polished in
-    find_roots.
+    quadratically. A simple root (m = 1, refined on d itself) stops once
+    |d(z)| <= 1e-15 * max(1, ||d||_inf); a multiple root at an iterate
+    already visited. A refinement that leaves the factor's shape (a real
+    location reaching the origin, a pair leaving the upper half plane) is
+    dropped, and the location stays as clustered.
     """
+    tiny = 1e-15 * max(1.0, d.norm_inf)
+
+    def refine(z, m):
+        q = d.derivative(m - 1)
+        return _newton(q, q.derivative(), z, stop=tiny if m == 1 else 0.0)
+
     linears = []
     for f in skel.linears:  # Newton iterates from a real start stay real
-        r = _newton(d.derivative(f.u - 1), d.derivative(f.u), f.r) if f.u > 1 else f.r
-        linears.append(LinearFactor(r, f.u))
+        r = refine(f.r, f.u)
+        linears.append(LinearFactor(r, f.u) if r != 0 else f)
     quads = []
     for f in skel.quadratics:
-        a, b = f.a, f.b
-        if f.k > 1:
-            z = _newton(d.derivative(f.k - 1), d.derivative(f.k), complex(a, b))
-            if z.imag > 0:
-                a, b = z.real, z.imag
-        quads.append(QuadraticFactor(a, b, f.k))
+        z = refine(complex(f.a, f.b), f.k)
+        quads.append(QuadraticFactor(z.real, z.imag, f.k) if z.imag > 0 else f)
     return FactoredDenominator(skel.origin_mult, tuple(linears), tuple(quads))
 
 
@@ -308,10 +297,10 @@ def factor_denominator(d):
     """Recover the full factor structure of the real polynomial d / d.leading numerically.
 
     Composes find_roots and cluster_and_pair, whose cluster widths are the
-    scatter radii of d's own multiple roots, polishes repeated locations, and
-    accepts that one candidate only when it both re-expands to d (relative
-    error <= 1e-8) and passes the multiple-root residual test; a failed
-    conjugate pairing raises cluster_and_pair's own error. A nonzero constant
+    scatter radii of d's own multiple roots, polishes each distinct root once
+    (_polish), and accepts that one candidate only when it both re-expands to
+    d (relative error <= 1e-8) and passes the multiple-root residual test; a
+    failed conjugate pairing raises cluster_and_pair's own error. A nonzero constant
     has no roots, hence the empty structure.
     """
     if d.is_zero:
@@ -320,7 +309,7 @@ def factor_denominator(d):
         raise ValueError("real coefficients required")
     if d.leading != 1:
         d = Polynomial(tuple(c / d.leading for c in d.coeffs))
-    cand = _polish(d, cluster_and_pair(d, [z for z, _ in find_roots(d)]))
+    cand = _polish(d, cluster_and_pair(d, find_roots(d)))
     err = _expand_error(d, cand)
     if err > EXPAND_RTOL:
         raise FactorizationError(

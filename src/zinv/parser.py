@@ -294,10 +294,10 @@ def parse_rational_expr(text):
     num, slash, den, den_factors = _Parser(text, kinds, values).parse()
     if den.is_zero:
         raise _error(text, slash, "denominator is identically zero")
-    factored = _extract_factored(den_factors)
-    x = RationalFunction(num, den)
+    x = RationalFunction(num, den)  # checks the float range before any factor is read
     if x.den.degree < den.degree:  # the numerator cancelled a factor
-        factored = _extract_factored(_cancelled(num, den_factors))
+        den_factors = _cancelled(num, den_factors)
+    factored = _extract_factored(den_factors)
     if factored is not None and factored.degree != x.den.degree:
         factored = None
     return x, factored

@@ -81,6 +81,8 @@ class TestInvert:
             "1/(1e200*z^2+1e200*z+1e200)^2",
             "1/(z^2*1e308*10+1)",
             "z/(1e-320*z^2+1)",
+            "1/(2*z-10^400)",
+            "1/((2*z-10^400)*(z-1))",
         ],
     )
     def test_out_of_float_range_exit_one(self, expr, capsys):
@@ -317,6 +319,37 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
         assert doc["methods"]["moreira"]["error"] is not None
+
+    def test_residue_error_is_reported_in_text(self, monkeypatch, capsys):
+        # a residue check that raises prints its error on its own line and fails
+        def residue(x, n, poles=None):
+            if n == 17:
+                raise OverflowError("residue sequence overflows a float at n=17")
+            return residue_value(x, n, poles=poles)
+
+        monkeypatch.setattr(oracles, "residue_value", residue)
+        assert main(["compare", "1/(z^2+1)", "--n", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "    residue n=17: error: residue sequence overflows a float at n=17" in lines
+        assert any(re.fullmatch(r"    residue n=5: dev \S+  PASS", line) for line in lines)
+        assert lines[-1] == "FAIL"
+
+    def test_non_conjugate_amplitudes_fail(self, monkeypatch, capsys):
+        # an X(z)/z table whose amplitudes at conjugate poles are not conjugate:
+        # juric's sum keeps an imaginary part and errors, and the case fails
+        real = oracles.complex_pfe_over_z
+
+        def skewed(x, poles):
+            table = real(x, poles)
+            upper = next(p for p in table if p.imag > 0)
+            table[upper] = {j: a + 1e-3j for j, a in table[upper].items()}
+            return table
+
+        monkeypatch.setattr(oracles, "complex_pfe_over_z", skewed)
+        assert main(["compare", "1/(z^2+1)", "--n", "20", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["methods"]["juric"]["error"].startswith("conjugate symmetry violated in juric")
 
     def test_constant_denominator_passes(self, capsys):
         # every method runs on the polynomial; with no poles every residue is 0

@@ -389,6 +389,40 @@ def _pair_den(a, b, k):
     return _times(*[[a * a + b * b, -2 * a, 1]] * k)
 
 
+class TestNearOriginPole:
+    """A pole 1e-9 from the origin is a pole, not an impulse: numeric factoring
+    sends only exact zero roots to the origin."""
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("1/(z^2-0.000000001*z)", "-1e+09*δ[n-1] + 1e+09*1e-09^(n-1)*u[n-1]"),
+            # (z - 1e-9)(z - 0.5)
+            ("1/(z^2-0.500000001*z+0.0000000005)", "-2*1e-09^(n-1)*u[n-1] + 2*0.5^(n-1)*u[n-1]"),
+        ],
+        ids=["origin-and-1e-9", "1e-9-and-0.5"],
+    )
+    def test_kept_and_tabulated(self, text, printed):
+        x, factored = parse_rational_expr(text)
+        assert factored is None  # a reducible quadratic: numeric factoring
+        expr = invert(x)
+        assert render(expr) == printed
+        want = _exact_series(x, 8)
+        assert want[3] != round(want[3], 8)  # the 1e-9 pole shows from x[3] on
+        got = eval_sequence(expr, 8).values
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("text", ["1/(z^3+1e-18*z)", "1/(z^3+z^2+1e-30)"])
+    def test_tiny_roots_off_the_real_axis(self, text):
+        # z (z^2 + 1e-18): the pair ±1e-9i lies within 1e-8 of the real axis,
+        # but nearer the imaginary one, so it stays a pair. z^2 (z + 1) + 1e-30:
+        # the roots ±1e-15i cluster as a double root at 5e-31, whose refinement
+        # on d' lands on the origin and is dropped. Neither is a real factor at 0.
+        x, _ = parse_rational_expr(text)
+        got = eval_sequence(invert(x), 12).values
+        assert max(abs(g - w) for g, w in zip(got, _exact_series(x, 12))) <= 1e-12
+
+
 class TestNearRealPair:
     @pytest.mark.xfail(
         strict=True,

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from zinv import identities
 from zinv.closedform import ClosedFormExpr, QuadPole, eval_sequence
+from zinv.errors import ConjugateSymmetryError
 from zinv.identities import (
+    _discard_imag,
     binomial_general,
     falling_factorial,
     internal_summation_holds,
@@ -125,8 +128,36 @@ class TestPairConvolution:
                 series = pair_convolution_series(a, b, k, 40)
                 assert series.values == _closed_form_s0(a, b, k, 40)
 
+    def test_integer_residue_raises(self, monkeypatch):
+        # exact Gaussian integers leave no imaginary residue; a skewed power does
+        real = identities._gauss_pow
+
+        def skewed(re, im, m):
+            rr, ri = real(re, im, m)
+            return rr, ri + 1
+
+        monkeypatch.setattr(identities, "_gauss_pow", skewed)
+        msg = r"^conjugate symmetry violated in convolution: residue -?\d+$"
+        with pytest.raises(ConjugateSymmetryError, match=msg):
+            pair_convolution_series(1, 1, 1, 4)
+
     def test_rejects_non_pair(self):
         with pytest.raises(ValueError, match="not a complex pair"):
             pair_convolution_series(1, 0, 1, 5)
         with pytest.raises(ValueError, match="multiplicity must be >= 1"):
             pair_convolution_series(1, 1, 0, 5)
+
+
+class TestDiscardImag:
+    """A conjugate-closed sum's imaginary residue is dropped up to
+    1e-9 * max(1, |v|) and raises above it."""
+
+    @pytest.mark.parametrize("value", [2.0 + 1e-9j, 3e9 + 2.9j, -0.5 - 1e-9j])
+    def test_small_residue_dropped(self, value):
+        assert _discard_imag(value, "test") == value.real
+
+    @pytest.mark.parametrize("value", [2.0 + 1e-8j, 3e9 + 4j, 1e-3 - 2e-9j])
+    def test_large_residue_raises(self, value):
+        msg = rf"^conjugate symmetry violated in test: residue {value.imag:.3g}$"
+        with pytest.raises(ConjugateSymmetryError, match=msg):
+            _discard_imag(value, "test")

@@ -297,6 +297,9 @@ class TestErrors:
             ("z/(1e-320*z^2+1)", "numerator"),  # dividing by a subnormal gives inf
             ("10^400/(2*z+1)", "numerator"),  # an int quotient beyond the float range
             ("1/((z^2+10^400*z+10^800)*(z-1))", "denominator"),  # an int beyond it
+            # a written linear factor whose root is beyond it, alone or in a product
+            ("1/(2*z-10^400)", "denominator"),
+            ("1/((2*z-10^400)*(z-1))", "denominator"),
         ],
     )
     def test_out_of_float_range(self, text, name):
